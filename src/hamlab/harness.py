@@ -84,6 +84,9 @@ _FREE_TOURNAMENT_ORDER = 6
 
 _LEMMA_KEYS = ("external_cycles", "insertion", "absorption", "merge")
 
+#: lemma_suite orders: one 64-bit draw holds the n(n-1) arc bits
+_LEMMA_MAX_N = 8
+
 
 class CampaignError(ValueError):
     """Invalid campaign spec, or a run the caller must opt into explicitly."""
@@ -147,6 +150,11 @@ class CampaignSpec:
                 )
         if self.claim == "bypass_claim" and self.n > 8:
             raise CampaignError("bypass exception dedup needs order <= 8")
+        if self.claim == "lemma_suite" and self.n > _LEMMA_MAX_N:
+            raise CampaignError(
+                f"lemma_suite draws every arc from one 64-bit word; order {self.n} "
+                f"exceeds {_LEMMA_MAX_N}"
+            )
 
     def identity(self) -> dict[str, Any]:
         return {
@@ -170,7 +178,10 @@ class CampaignSpec:
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "CampaignSpec":
         keys = ("claim", "n", "mode", "shard", "shards", "samples", "arc_prob", "seed")
-        return cls(**{k: data[k] for k in keys if k in data})
+        missing = [k for k in keys if k not in data]
+        if missing:
+            raise CampaignError(f"campaign spec lacks {', '.join(missing)}")
+        return cls(**{k: data[k] for k in keys})
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +446,25 @@ def checkpoint_load(path: str, spec: CampaignSpec) -> dict[str, Any]:
     missing = [key for key in required if key not in payload]
     if missing:
         raise CheckpointError(f"corrupt checkpoint {path}: missing {', '.join(missing)}")
+    for key in required:
+        value = payload[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise CheckpointError(
+                f"corrupt checkpoint {path}: {key} must be a non-negative integer"
+            )
+    cursor = payload["cursor"]
+    if cursor % spec.shards != spec.shard or cursor >= _space_size(spec) + spec.shards:
+        raise CheckpointError(
+            f"corrupt checkpoint {path}: cursor {cursor} is not a position of "
+            f"shard {spec.shard} of {spec.shards}"
+        )
+    counterexamples = payload.get("counterexamples", [])
+    if not isinstance(counterexamples, list):
+        raise CheckpointError(f"corrupt checkpoint {path}: counterexamples is not a list")
+    if payload["verified"] + len(counterexamples) > payload["hypothesis_hits"]:
+        raise CheckpointError(
+            f"corrupt checkpoint {path}: verified + counterexamples exceeds hits"
+        )
     return payload
 
 
@@ -621,7 +651,13 @@ def run_campaign(
     started = time.monotonic()
     tally = _Tally(spec)
     if spec.checkpoint_path and os.path.exists(spec.checkpoint_path):
-        tally.load(checkpoint_load(spec.checkpoint_path, spec))
+        payload = checkpoint_load(spec.checkpoint_path, spec)
+        try:
+            tally.load(payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"corrupt checkpoint {spec.checkpoint_path}: bad entry ({exc!r})"
+            ) from exc
 
     def elapsed_ms() -> int:
         return tally.base_elapsed + int((time.monotonic() - started) * 1000)

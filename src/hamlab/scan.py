@@ -9,7 +9,15 @@ scalar routine bit for bit — the test suite holds the two routes equal over
 a full labeled space — so the fast path never becomes the only authority.
 
 All row blocks are ``(B, n)`` uint64 arrays of out-adjacency bitmasks, the
-same encoding the scalar modules use.
+same encoding the scalar modules use.  The screens make O(n) or O(n²)
+passes over a block and drop the rows they have decided, so later passes
+touch only the undecided rest:
+
+- ``strong_flags`` grows the sets reached from and reaching vertex 0 and
+  retires each row once both are full or either stops growing short of full;
+- ``triple_condition_flags`` reduces the O(n³) quantifier over (x, y, z) to
+  one comparison per vertex x built from three per-row minima (see its
+  docstring), and retires each row at the first x it fails.
 """
 
 from __future__ import annotations
@@ -18,41 +26,51 @@ from functools import lru_cache
 
 import numpy as np
 
-from .generators import GAMMA, GIVE_UP_AFTER, GiveUpError, ordered_pairs, threshold_for
+from .generators import GAMMA, GIVE_UP_AFTER, GiveUpError, threshold_for
 
 U = np.uint64
 ONE = U(1)
-ZERO = U(0)
 GAMMA_U = U(GAMMA)
 
 _SH = [U(i) for i in range(65)]
+_BIT = np.array([1 << v for v in range(64)], dtype=np.uint64)
+#: byte of a row holding vertex v, and v's bit within that byte
+_BYTE = np.arange(64) >> 3
+_BIT8 = np.array([1 << (v & 7) for v in range(64)], dtype=np.uint8)
 
 _M1 = U(0xBF58476D1CE4E5B9)
 _M2 = U(0x94D049BB133111EB)
 _S30, _S27, _S31 = U(30), U(27), U(31)
 
-_P1 = U(0x5555555555555555)
-_P2 = U(0x3333333333333333)
-_P4 = U(0x0F0F0F0F0F0F0F0F)
-_PM = U(0x0101010101010101)
-_S1, _S2, _S4, _S56 = U(1), U(2), U(4), U(56)
+#: set-bit count of each byte value
+_POP8 = np.array([c.bit_count() for c in range(256)], dtype=np.uint8)
+#: byte value -> uint64 holding bit j of the byte in byte j (a per-bit counter)
+_SPREAD = np.array(
+    [sum(1 << 8 * j for j in range(8) if c >> j & 1) for c in range(256)], dtype="<u8"
+)
+
+#: sentinel above every triple-condition sum (at most 6(n-1) = 378 for n <= 64)
+_FAR = np.int16(1 << 10)
 
 
-def popcount(a: np.ndarray) -> np.ndarray:
-    """Set-bit count of a uint64 array (classic parallel bit-count)."""
-    a = a - ((a >> _S1) & _P1)
-    a = (a & _P2) + ((a >> _S2) & _P2)
-    a = (a + (a >> _S4)) & _P4
-    return ((a * _PM) >> _S56).astype(np.int32)
+def mix_vec(
+    state: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """splitmix64 output hash applied elementwise to a uint64 array.
 
-
-def mix_vec(state: np.ndarray) -> np.ndarray:
-    """splitmix64 output hash applied elementwise to a uint64 array."""
-    z = state ^ (state >> _S30)
-    z = z * _M1
-    z ^= z >> _S27
-    z = z * _M2
-    return z ^ (z >> _S31)
+    ``out`` and ``scratch`` are optional buffers shaped like ``state``; the
+    hash is written into ``out`` (a new array when omitted).
+    """
+    z = np.right_shift(state, _S30, out=out)
+    t = np.empty_like(state) if scratch is None else scratch
+    z ^= state
+    z *= _M1
+    np.right_shift(z, _S27, out=t)
+    z ^= t
+    z *= _M2
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+    return z
 
 
 @lru_cache(maxsize=None)
@@ -84,34 +102,68 @@ def decode_rows(n: int, indices: np.ndarray) -> np.ndarray:
 
 
 def strong_flags(n: int, rows: np.ndarray) -> np.ndarray:
-    """Boolean mask of strongly connected digraphs in a row block."""
+    """Boolean mask of strongly connected digraphs in a row block.
+
+    Each round sweeps the vertices once, growing ``reach`` (vertices reached
+    from 0) and ``back`` (vertices reaching 0) in place, so it advances at
+    least one BFS layer and n - 1 rounds always suffice.  A row is decided
+    when both sets are full (strong) or a round leaves either set unchanged
+    short of full (that set is closed: not strong); decided rows leave the
+    block.
+    """
     count = rows.shape[0]
     full = U((1 << n) - 1)
-    reach = np.full(count, 1, dtype=np.uint64)
-    back = np.full(count, 1, dtype=np.uint64)
+    strong = np.zeros(count, dtype=bool)
+    live = np.arange(count)
+    reach = np.ones(count, dtype=np.uint64)
+    back = np.ones(count, dtype=np.uint64)
     for _ in range(n - 1):
-        grown = reach
+        if not live.size:
+            break
+        before = reach.copy()
+        step = np.empty_like(before)
         for v in range(n):
-            has = ((reach >> _SH[v]) & ONE).astype(bool)
-            grown = grown | np.where(has, rows[:, v], ZERO)
-        reach = grown
-        grown = back
+            # out-row of v where v is reached, else 0
+            np.right_shift(reach, _SH[v], out=step)
+            step &= ONE
+            step *= rows[:, v]
+            reach |= step
+        closed = (reach == before) & (reach != full)
+        np.copyto(before, back)
         for v in range(1, n):
-            joins = (rows[:, v] & back) != ZERO
-            grown = grown | np.where(joins, U(1 << v), ZERO)
-        back = grown
-    return (reach == full) & (back == full)
+            # bit v where an arc of v enters back, else 0
+            np.bitwise_and(rows[:, v], back, out=step)
+            np.minimum(step, ONE, out=step)
+            step <<= _SH[v]
+            back |= step
+        closed |= (back == before) & (back != full)
+        np.bitwise_and(reach, back, out=step)
+        done = step == full
+        del before, step  # freed ahead of the compaction copies
+        strong[live[done]] = True
+        undecided = ~(done | closed)
+        live = live[undecided]
+        rows = rows[undecided]
+        reach = reach[undecided]
+        back = back[undecided]
+    return strong
 
 
-def degree_tables(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(out-degree, in-degree) int32 arrays of shape (B, n) for a row block."""
-    out_deg = np.empty(rows.shape, dtype=np.int32)
-    in_deg = np.zeros(rows.shape, dtype=np.int32)
-    for v in range(n):
-        out_deg[:, v] = popcount(rows[:, v])
-        for u in range(n):
-            if u != v:
-                in_deg[:, v] += ((rows[:, u] >> _SH[v]) & ONE).astype(np.int32)
+def _degrees(n: int, octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(out-degree, in-degree) int16 tables of shape (n, B) from (B, n, w) row bytes.
+
+    Out-degrees sum the bit counts of a row's bytes.  In-degrees add every
+    row's bytes spread one bit per byte, so each byte of the sum counts the
+    arcs into one vertex (at most 63, so no byte carries into the next).
+    """
+    count, _, width = octets.shape
+    out_deg = np.zeros((n, count), dtype=np.int16)
+    for b in range(width):
+        out_deg += _POP8[octets[:, :, b].T]
+    counters = np.zeros((count, width), dtype="<u8")
+    for u in range(n):
+        counters += _SPREAD[octets[:, u]]
+    in_deg = counters.view(np.uint8)[:, :n].T.astype(np.int16, order="C")
     return out_deg, in_deg
 
 
@@ -119,33 +171,60 @@ def triple_condition_flags(n: int, rows: np.ndarray, slack: int) -> np.ndarray:
     """Boolean mask of digraphs satisfying the triple degree-sum condition.
 
     Quantifier identical to the scalar row kernel: ordered non-adjacent pairs
-    (x, y), witness z ranging over every vertex other than x.
+    (x, y), witness z ranging over every vertex other than x, and
+
+        d(x) + d(y) + d⁺(x) + d⁻(z) >= 3n - 2 + slack   when x↛z,
+        d(x) + d(y) + d⁻(x) + d⁺(z) >= 3n - 2 + slack   when z↛x.
+
+    For a fixed x the y-term and the z-term of each sum are independent, so
+    every clause for x holds iff the least sum does:
+
+        min_y d(y) + d(x) + min(d⁺(x) + mI(x), d⁻(x) + mO(x)) >= 3n - 2 + slack
+
+    with y over the vertices non-adjacent to x, mI(x) the least d⁻(z) over
+    z ≠ x with x↛z, and mO(x) the least d⁺(z) over z ≠ x with z↛x.  Both z
+    sets contain every such y, so neither minimum is empty when a clause
+    applies; when none applies the y-minimum is a sentinel above any bound.
+    This is exact, not a relaxation: the minimizing (y, z) is itself a
+    clause.  A row is dropped at the first x it fails, so later vertices
+    scan only the survivors.
     """
-    bound = 3 * n - 2 + slack
-    out_deg, in_deg = degree_tables(n, rows)
+    count = rows.shape[0]
+    # every clause sum is at most 6(n-1) < _FAR, so clamping keeps each
+    # comparison and keeps int16 arithmetic safe for any slack
+    bound = min(max(3 * n - 2 + slack, 0), int(_FAR))
+    # the ceil(n/8) low bytes of each row, the only ones that can hold arcs
+    octets = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
+    octets = octets.reshape(count, n, 8)[:, :, : (n + 7) // 8]
+    out_deg, in_deg = _degrees(n, octets)
     deg = out_deg + in_deg
-    ok = np.ones(rows.shape[0], dtype=bool)
+    live = np.arange(count)
+    byte_of, bit_of = _BYTE[:n], _BIT8[:n, None]
     for x in range(n):
-        row_x = rows[:, x]
-        for y in range(n):
-            if y == x:
-                continue
-            nonadj = (((row_x >> _SH[y]) | (rows[:, y] >> _SH[x])) & ONE) == ZERO
-            if not nonadj.any():
-                continue
-            base = deg[:, x] + deg[:, y]
-            need_in = bound - base - out_deg[:, x]
-            need_out = bound - base - in_deg[:, x]
-            for z in range(n):
-                if z == x:
-                    continue
-                miss_fwd = ((row_x >> _SH[z]) & ONE) == ZERO
-                bad = nonadj & miss_fwd & (in_deg[:, z] < need_in)
-                miss_back = ((rows[:, z] >> _SH[x]) & ONE) == ZERO
-                bad |= nonadj & miss_back & (out_deg[:, z] < need_out)
-                ok &= ~bad
-        if not ok.any():
-            break
+        # (n, B) masks, read from bytes so that no uint64 temporary is made
+        fwd = (octets[:, x].T[byte_of] & bit_of) != 0  # x→z
+        back = np.bitwise_and(octets[:, :, x >> 3].T, _BIT8[x], order="C") != 0  # z→x
+        adjacent = fwd | back
+        adjacent[x] = fwd[x] = back[x] = True
+        least = np.where(adjacent, _FAR, deg).min(axis=0)
+        via_in = np.where(fwd, _FAR, in_deg).min(axis=0)
+        via_out = np.where(back, _FAR, out_deg).min(axis=0)
+        via_in += out_deg[x]
+        via_out += in_deg[x]
+        np.minimum(via_in, via_out, out=via_in)
+        least += via_in
+        least += deg[x]
+        keep = least >= bound
+        if not keep.all():
+            live = live[keep]
+            if not live.size:
+                break
+            octets = octets[keep]
+            out_deg = out_deg[:, keep]
+            in_deg = in_deg[:, keep]
+            deg = deg[:, keep]
+    ok = np.zeros(count, dtype=bool)
+    ok[live] = True
     return ok
 
 
@@ -154,42 +233,62 @@ def seeds_for(seed: int, ordinals: np.ndarray) -> np.ndarray:
     return mix_vec(U(seed) + (ordinals.astype(np.uint64) + ONE) * GAMMA_U)
 
 
-def derived_seed_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Per-sample substream seeds for samples start..start+count-1."""
-    return seeds_for(seed, np.arange(start, start + count, dtype=np.uint64))
+def _draw_block(block: np.ndarray, state: np.ndarray, cut: np.uint64, all_arcs: bool) -> None:
+    """Fill ``block`` with one attempt per stream, row by row.
+
+    ``state`` holds each stream's splitmix64 state and advances by γ per
+    ordered pair (u, v) in row-major order, exactly as the scalar sampler's;
+    the arc is present when the hash of the new state falls below ``cut``.
+    The scratch buffers are freed on return, before the block is screened.
+    """
+    n = block.shape[1]
+    draw = np.empty_like(state)
+    scratch = np.empty_like(state)
+    row = np.empty_like(state)
+    arc = np.empty(state.shape, dtype=bool)
+    for u in range(n):
+        row.fill(0)
+        for v in range(n):
+            if v == u:
+                continue
+            state += GAMMA_U
+            if all_arcs:
+                row |= _BIT[v]
+                continue
+            mix_vec(state, draw, scratch)
+            np.less(draw, cut, out=arc)
+            np.multiply(arc, _BIT[v], out=scratch)
+            row |= scratch
+        block[:, u] = row
 
 
 def sample_strong_rows(n: int, arc_prob: float, seeds: np.ndarray) -> np.ndarray:
     """Strong random digraphs, one per substream seed, as a (B, n) row block.
 
-    Bit-exact vector replica of the scalar rejection sampler: draw one
-    splitmix64 value per ordered pair in row-major order, keep the digraph
-    when it is strong, otherwise continue the same stream.
+    Bit-exact vector replica of the scalar rejection sampler: each sample's
+    stream emits one draw per ordered pair, and a digraph that is not strong
+    is redrawn from where its stream stopped.  The first attempt is drawn
+    into the output block itself; retries draw only the rejected samples.
     """
     cutoff = threshold_for(arc_prob)
     all_arcs = cutoff >= 1 << 64
     cut = U(min(cutoff, (1 << 64) - 1))
-    pairs = ordered_pairs(n)
-    pair_count = U(len(pairs))
-    total = seeds.shape[0]
-    rows = np.zeros((total, n), dtype=np.uint64)
-    attempt = np.zeros(total, dtype=np.uint64)
-    alive = np.arange(total)
-    while alive.size:
-        sub_seeds = seeds[alive]
-        base = attempt[alive] * pair_count
-        sub = np.zeros((alive.size, n), dtype=np.uint64)
-        for i, (u, v) in enumerate(pairs):
-            draw = mix_vec(sub_seeds + (base + U(i + 1)) * GAMMA_U)
-            arc = np.ones(alive.size, dtype=bool) if all_arcs else draw < cut
-            sub[:, u] |= arc.astype(np.uint64) << _SH[v]
-        good = strong_flags(n, sub)
-        rows[alive[good]] = sub[good]
-        alive = alive[~good]
-        attempt[alive] += ONE
-        if alive.size and int(attempt[alive].max()) >= GIVE_UP_AFTER:
-            raise GiveUpError(
-                f"no strong digraph of order {n} at arc_prob={arc_prob} "
-                f"after {GIVE_UP_AFTER} attempts"
-            )
-    return rows
+    rows = np.empty((seeds.shape[0], n), dtype=np.uint64)
+    block = rows
+    pending = np.arange(seeds.shape[0])
+    state = seeds.astype(np.uint64)
+    for _ in range(GIVE_UP_AFTER):
+        _draw_block(block, state, cut, all_arcs)
+        good = strong_flags(n, block)
+        if block is not rows:
+            rows[pending[good]] = block[good]
+        rejected = ~good
+        pending = pending[rejected]
+        if not pending.size:
+            return rows
+        state = state[rejected]
+        block = np.empty((pending.size, n), dtype=np.uint64)
+    raise GiveUpError(
+        f"no strong digraph of order {n} at arc_prob={arc_prob} "
+        f"after {GIVE_UP_AFTER} attempts"
+    )

@@ -9,6 +9,8 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Optional
 
+import numpy as np
+
 from hamlab.digraph import Digraph
 
 
@@ -119,3 +121,30 @@ def oracle_pair_deficiency(d: Digraph) -> dict[int, list[int]]:
             if d.degree(x) + d.degree(y) < 2 * n - 1:
                 low[x].append(y)
     return low
+
+
+def oracle_triple_flags(n: int, rows: np.ndarray, slack: int) -> np.ndarray:
+    """Literal O(n^3) numpy evaluation of the triple condition over a row block.
+
+    Every ordered non-adjacent pair (x, y) and every witness z != x is checked
+    against the whole block; degrees are counted bit by bit in int64.
+    """
+    one = np.uint64(1)
+    bit = [[(rows[:, u] >> np.uint64(v)) & one for v in range(n)] for u in range(n)]
+    arc = [[bit[u][v].astype(bool) for v in range(n)] for u in range(n)]
+    out_deg = [sum(bit[u][v].astype(np.int64) for v in range(n)) for u in range(n)]
+    in_deg = [sum(bit[u][v].astype(np.int64) for u in range(n)) for v in range(n)]
+    bound = 3 * n - 2 + slack
+    ok = np.ones(rows.shape[0], dtype=bool)
+    for x in range(n):
+        for y in range(n):
+            if y == x:
+                continue
+            nonadj = ~arc[x][y] & ~arc[y][x]
+            base = out_deg[x] + in_deg[x] + out_deg[y] + in_deg[y]
+            for z in range(n):
+                if z == x:
+                    continue
+                ok &= ~(nonadj & ~arc[x][z] & (base + out_deg[x] + in_deg[z] < bound))
+                ok &= ~(nonadj & ~arc[z][x] & (base + in_deg[x] + out_deg[z] < bound))
+    return ok

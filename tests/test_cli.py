@@ -136,6 +136,20 @@ def test_verify_rejects_bad_spec(capsys):
     assert run_cli(capsys, "verify", "thm15", "--n", "6")[0] == 2  # long-run gate
 
 
+def test_verify_rejects_misaligned_checkpoint(capsys, tmp_path):
+    cp = str(tmp_path / "cp.json")
+    argv = ("verify", "thm15", "--n", "4", "--shards", "3", "--checkpoint", cp, "--json")
+    assert run_cli(capsys, *argv)[0] == 0
+    with open(cp, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["cursor"] += 1
+    with open(cp, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "cursor" in err and out == ""
+
+
 def test_verify_jobs_matches_single(capsys):
     code, out_multi, _ = run_cli(capsys, "verify", "thm110", "--n", "4", "--jobs", "3", "--json")
     assert code == 0

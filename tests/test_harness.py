@@ -75,6 +75,23 @@ def test_spec_json_roundtrip():
     assert again == spec
 
 
+@pytest.mark.parametrize(
+    "key", ["claim", "n", "mode", "shard", "shards", "samples", "arc_prob", "seed"]
+)
+def test_spec_from_json_requires_every_identity_key(key):
+    data = CampaignSpec(claim="thm15", n=5).to_json()
+    del data[key]
+    with pytest.raises(CampaignError, match=key):
+        CampaignSpec.from_json(data)
+
+
+def test_lemma_suite_order_capped_at_8():
+    CampaignSpec(claim="lemma_suite", n=8, mode="sample", samples=10)
+    for n in (9, 10, 64):
+        with pytest.raises(CampaignError):
+            CampaignSpec(claim="lemma_suite", n=n, mode="sample", samples=10)
+
+
 # --- classification --------------------------------------------------------------
 
 
@@ -336,6 +353,64 @@ def test_checkpoint_rejects_missing_keys(tmp_path):
     checkpoint_save(cp, spec, {"cursor": 0})
     with pytest.raises(CheckpointError):
         checkpoint_load(cp, spec)
+
+
+def _tampered_checkpoint(tmp_path, **changes):
+    """A real mid-run checkpoint of thm15 n=4, shard 0 of 3, with fields overwritten."""
+    cp = str(tmp_path / "tampered.json")
+    spec = CampaignSpec(claim="thm15", n=4, shards=3, checkpoint_path=cp)
+    run_campaign(spec, stop_after=300)
+    with open(cp, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    for key, change in changes.items():
+        payload[key] = change(payload[key])
+    with open(cp, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    return cp, spec
+
+
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        ("cursor", lambda c: c + 1),  # not a position of shard 0 of 3
+        ("cursor", lambda c: -5),
+        ("cursor", lambda c: (1 << 12) + 5),  # aligned, but past space + shards
+        ("cursor", lambda c: str(c)),
+        ("scanned", lambda v: -1),
+        ("strong", lambda v: -1),
+        ("hypothesis_hits", lambda v: -1),
+        ("verified", lambda v: -1),
+        ("verified", lambda v: v + 1),  # verified + counterexamples > hits
+        ("counterexamples", lambda v: 5),
+    ],
+    ids=[
+        "cursor-misaligned", "cursor-negative", "cursor-past-end", "cursor-not-int",
+        "scanned-negative", "strong-negative", "hits-negative", "verified-negative",
+        "verified-above-hits", "counterexamples-not-list",
+    ],
+)
+def test_checkpoint_rejects_inconsistent_state(tmp_path, field, change):
+    cp, spec = _tampered_checkpoint(tmp_path, **{field: change})
+    with pytest.raises(CheckpointError):
+        checkpoint_load(cp, spec)
+    with pytest.raises(CheckpointError):
+        run_campaign(spec)
+
+
+def test_checkpoint_rejects_malformed_counterexample(tmp_path):
+    cp, spec = _tampered_checkpoint(
+        tmp_path, counterexamples=lambda v: [{"index": 0}], hypothesis_hits=lambda h: h + 1
+    )
+    with pytest.raises(CheckpointError):
+        run_campaign(spec)
+
+
+def test_checkpoint_accepts_last_cursor_of_a_finished_shard(tmp_path):
+    cp, spec = _tampered_checkpoint(tmp_path)
+    finished = run_campaign(spec)
+    assert finished.complete
+    assert checkpoint_load(cp, spec)["cursor"] == 4096 + 2  # last position 4095, plus 3
+    assert run_campaign(spec) == finished
 
 
 # --- serialization -------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hamlab import scan
+from hamlab.conditions import holds_a_k_rows
+from hamlab.digraph import strong_rows
 from hamlab.generators import (
     GiveUpError,
     derived_seed,
@@ -13,16 +15,7 @@ from hamlab.generators import (
     random_strong_rows,
 )
 
-
-def test_popcount_spot_values():
-    xs = np.array([0, 1, 0xFFFF, (1 << 64) - 1, 0x8000000000000001], dtype=np.uint64)
-    assert list(scan.popcount(xs)) == [0, 1, 16, 64, 2]
-
-
-@given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=1, max_size=50))
-def test_popcount_matches_int_bitcount(values: list[int]):
-    arr = np.array(values, dtype=np.uint64)
-    assert list(scan.popcount(arr)) == [v.bit_count() for v in values]
+from oracles import oracle_triple_flags
 
 
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=1, max_size=50))
@@ -39,29 +32,72 @@ def test_seeds_for_matches_derived_seed(seed: int, start: int):
     assert [int(s) for s in seeds] == [derived_seed(seed, j) for j in range(start, start + 17)]
 
 
-def test_degree_tables_match_row_bitcounts():
-    n = 4
-    indices = np.arange(1 << 12, dtype=np.uint64)
-    rows = scan.decode_rows(n, indices)
-    out_deg, in_deg = scan.degree_tables(n, rows)
-    some = [0, 1, 100, 4095, 2744]
-    for i in some:
-        for v in range(n):
-            assert out_deg[i, v] == int(rows[i, v]).bit_count()
-            assert in_deg[i, v] == sum(int(rows[i, u]) >> v & 1 for u in range(n))
+ALL_ORDER5 = 1 << 20
+
+
+@pytest.fixture(scope="module")
+def order5_rows() -> np.ndarray:
+    return scan.decode_rows(5, np.arange(ALL_ORDER5, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("slack", [0, 1, 2, 3])
+def test_triple_flags_match_cubic_oracle_over_full_order5_space(order5_rows, slack: int):
+    flags = scan.triple_condition_flags(5, order5_rows, slack)
+    assert np.array_equal(flags, oracle_triple_flags(5, order5_rows, slack))
+
+
+def test_strong_flags_match_scalar_over_full_order5_space(order5_rows):
+    flags = scan.strong_flags(5, order5_rows)
+    expected = [strong_rows(5, row) for row in order5_rows.tolist()]
+    assert flags.tolist() == expected
+    assert int(flags.sum()) == 565_080
+
+
+@st.composite
+def row_blocks(draw):
+    n = draw(st.integers(min_value=4, max_value=16))
+    count = draw(st.integers(min_value=0, max_value=64))
+    density = draw(st.sampled_from([0.0, 0.5, 0.8, 0.95, 1.0]))
+    seed = draw(st.integers(min_value=0, max_value=(1 << 32) - 1))
+    rng = np.random.default_rng(seed)
+    arcs = rng.random((count, n, n)) < density
+    arcs[:, np.arange(n), np.arange(n)] = False
+    weights = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    rows = (arcs.astype(np.uint64) * weights).sum(axis=2, dtype=np.uint64)
+    return n, rows
+
+
+@given(row_blocks(), st.integers(min_value=0, max_value=6))
+def test_screens_match_scalar_predicates_on_random_blocks(block, slack: int):
+    n, rows = block
+    strong = scan.strong_flags(n, rows)
+    triple = scan.triple_condition_flags(n, rows, slack)
+    assert strong.shape == triple.shape == (rows.shape[0],)
+    for i, row in enumerate(rows):
+        row_list = [int(r) for r in row]
+        assert bool(strong[i]) == strong_rows(n, row_list)
+        assert bool(triple[i]) == holds_a_k_rows(n, row_list, slack)
+
+
+@pytest.mark.parametrize("slack", [-(1 << 40), -7, 1 << 40])
+def test_triple_flags_extreme_slack(order5_rows, slack: int):
+    rows = order5_rows[::97]
+    flags = scan.triple_condition_flags(5, rows, slack)
+    expected = [holds_a_k_rows(5, row, slack) for row in rows.tolist()]
+    assert flags.tolist() == expected
 
 
 @pytest.mark.parametrize("arc_prob", [0.3, 0.5, 0.9])
 def test_vector_sampler_is_bit_exact_with_scalar(arc_prob: float):
-    n = 6
     seed = 2024
     ordinals = np.arange(64, dtype=np.uint64)
     seeds = scan.seeds_for(seed, ordinals)
-    rows = scan.sample_strong_rows(n, arc_prob, seeds)
-    for j in range(64):
-        expected = random_strong_rows(n, arc_prob, derived_seed(seed, j))
-        assert expected is not None
-        assert [int(r) for r in rows[j]] == expected
+    for n in (6, 7, 10):
+        rows = scan.sample_strong_rows(n, arc_prob, seeds)
+        for j in range(64):
+            expected = random_strong_rows(n, arc_prob, derived_seed(seed, j))
+            assert expected is not None
+            assert [int(r) for r in rows[j]] == expected
 
 
 def test_vector_sampler_full_probability_shortcut():
