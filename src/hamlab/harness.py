@@ -9,9 +9,14 @@ atomic JSON checkpoints, and deterministic: the same spec always produces
 the same result, field for field, no matter how it was interrupted, split,
 or parallelized.
 
-Bulk screening runs on the vectorized kernels in :mod:`hamlab.scan`; every
-surviving digraph is re-confirmed with the scalar predicates before its
-conclusion is judged, so the fast path can never silently decide anything.
+Bulk screening runs on the vectorized kernels in :mod:`hamlab.scan`.  Up to
+order ``scan.HIT_MAX_N`` the hits of a block are then re-confirmed by a
+vector kernel written independently of the screens and judged by a vector
+cycle-length pass.  The scalar predicates and the scalar judge still take
+every negative verdict (which also builds its counterexample detail), the
+first hit of every block, and every hit above that order; wherever both
+routes run they must agree, so the fast path can never silently decide
+anything.
 """
 
 from __future__ import annotations
@@ -377,9 +382,9 @@ def merge_results(results: Sequence[CampaignResult]) -> CampaignResult:
     counterexamples = tuple(
         sorted((c for r in ordered for c in r.counterexamples), key=lambda c: c.index)
     )
-    exceptions = _dedup_exceptions(
-        [(e.index, parse(e.digraph), e.count) for r in ordered for e in r.exceptions]
-    )
+    classes: list[tuple[int, Digraph, int]] = []
+    for e in sorted((e for r in ordered for e in r.exceptions), key=lambda e: e.index):
+        _fold_exception(classes, e.index, parse(e.digraph), e.count)
     return CampaignResult(
         spec=replace(base, shard=0, shards=1, checkpoint_path=None),
         scanned=sum(r.scanned for r in ordered),
@@ -387,7 +392,7 @@ def merge_results(results: Sequence[CampaignResult]) -> CampaignResult:
         hypothesis_hits=sum(r.hypothesis_hits for r in ordered),
         verified=sum(r.verified for r in ordered),
         counterexamples=counterexamples,
-        exceptions=exceptions,
+        exceptions=tuple(ExceptionClass(i, serialize(d), c) for i, d, c in classes),
         detail=detail,
         cursor=None,
         complete=True,
@@ -395,18 +400,15 @@ def merge_results(results: Sequence[CampaignResult]) -> CampaignResult:
     )
 
 
-def _dedup_exceptions(
-    entries: Sequence[tuple[int, Digraph, int]]
-) -> tuple[ExceptionClass, ...]:
-    classes: list[tuple[int, Digraph, int]] = []
-    for index, d, count in sorted(entries, key=lambda e: e[0]):
-        for i, (rep_index, rep, rep_count) in enumerate(classes):
-            if d.n == rep.n and isomorphic_small(d, rep):
-                classes[i] = (rep_index, rep, rep_count + count)
-                break
-        else:
-            classes.append((index, d, count))
-    return tuple(ExceptionClass(i, serialize(d), c) for i, d, c in classes)
+def _fold_exception(
+    classes: list[tuple[int, Digraph, int]], index: int, d: Digraph, count: int
+) -> None:
+    """Add ``count`` members to d's isomorphism class, opening it at ``index``."""
+    for i, (rep_index, rep, rep_count) in enumerate(classes):
+        if d.n == rep.n and isomorphic_small(d, rep):
+            classes[i] = (rep_index, rep, rep_count + count)
+            return
+    classes.append((index, d, count))
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +522,7 @@ class _Tally:
         }
 
     def note_exception(self, index: int, d: Digraph) -> None:
-        for i, (rep_index, rep, count) in enumerate(self.exception_classes):
-            if d.n == rep.n and isomorphic_small(d, rep):
-                self.exception_classes[i] = (rep_index, rep, count + 1)
-                return
-        self.exception_classes.append((index, d, 1))
+        _fold_exception(self.exception_classes, index, d, 1)
 
 
 def _fresh_detail(claim: str) -> dict[str, Any]:
@@ -591,23 +589,54 @@ def _judge(claim: str, n: int, rows: list[int]) -> tuple[bool, Optional[str], di
     raise CampaignError(f"no conclusion judge for claim {claim!r}")
 
 
+def _wanted(claim: str, n: int) -> int:
+    """Conclusion bits of a claim: the cycle lengths it needs (bit 0 for lemma35)."""
+    if claim == "thm15":
+        return 1 << n
+    if claim == "thm110":
+        return 1 << (n - 1)
+    if claim == "conj19":
+        return (1 << (n + 1)) - (1 << 3)
+    return 1
+
+
+def _vector_gaps(claim: str, n: int, rows: np.ndarray) -> np.ndarray:
+    """Per hit, the conclusion bits the vector kernels find missing (0: verified)."""
+    if claim == "lemma35":
+        return (~scan.lemma35_flags(n, rows)).astype(np.uint16)
+    return np.uint16(_wanted(claim, n)) & ~scan.cycle_lengths(n, rows)
+
+
+def _scalar_gaps(
+    claim: str, n: int, ok: bool, branch: Optional[str], failure: dict[str, Any]
+) -> int:
+    """The conclusion bits a scalar verdict of ``_judge`` finds missing."""
+    if claim == "conj19":
+        return sum(1 << length for length in failure.get("missing_lengths", ()))
+    # thm110's kstar branch is verified, yet its hit has no cycle of length n-1
+    met = branch == "pre_hamiltonian" if claim == "thm110" else ok
+    return 0 if met else _wanted(claim, n)
+
+
 def _record_hit(
-    tally: _Tally, claim: str, n: int, rows: list[int], index: int, extra: dict[str, Any]
+    tally: _Tally,
+    claim: str,
+    n: int,
+    rows: list[int],
+    index: int,
+    extra: dict[str, Any],
+    gaps: Optional[int] = None,
 ) -> None:
-    """Confirm one screened hit with scalar predicates and judge its conclusion."""
-    slack = _CLAIM_SLACK[claim]
-    _confirm_hit(n, rows, slack)
-    tally.hits += 1
-    if claim == "bypass_claim":
-        if hamiltonian_bypass_rows(n, rows) is not None:
-            tally.verified += 1
-        else:
-            d = from_rows(n, rows)
-            tally.note_exception(index, d)
-            tally.detail["exception_members"] += 1
-            tally.verified += 1
-        return
+    """Confirm one screened hit with scalar predicates and judge its conclusion.
+
+    ``gaps`` is the vector verdict on the hit (see ``_vector_gaps``), if it
+    has one; the scalar verdict must agree with it.
+    """
+    _confirm_hit(n, rows, _CLAIM_SLACK[claim])
     ok, branch, failure = _judge(claim, n, rows)
+    if gaps is not None and _scalar_gaps(claim, n, ok, branch, failure) != gaps:
+        raise RuntimeError("vector and scalar conclusion judges disagree on a hypothesis hit")
+    tally.hits += 1
     if ok:
         tally.verified += 1
         if branch is not None:
@@ -617,6 +646,49 @@ def _record_hit(
         tally.counterexamples.append(
             Counterexample(index, serialize(from_rows(n, rows)), detail)
         )
+
+
+def _record_block(
+    tally: _Tally,
+    claim: str,
+    n: int,
+    rows: np.ndarray,
+    indices: np.ndarray,
+    extra: Callable[[int], dict[str, Any]],
+) -> None:
+    """Confirm and judge one block of screened hits at positions ``indices``.
+
+    ``extra(index)`` is the detail a counterexample at that position carries.
+    Up to order ``scan.HIT_MAX_N`` every hit is re-confirmed by
+    ``scan.confirm_flags`` and judged by the vector kernels; the hits they
+    verify are counted at once.  The scalar route (``_record_hit``) takes
+    every other hit and the block's first one, and raises if its verdict
+    differs from the vector one.  Above that order every hit takes it.
+    """
+    if not indices.size:
+        return
+    scalar = np.ones(indices.size, dtype=bool)
+    gaps: list[Optional[int]] = [None] * indices.size
+    if n <= scan.HIT_MAX_N:
+        if not scan.confirm_flags(n, rows, _CLAIM_SLACK[claim]).all():
+            raise RuntimeError("vectorized screens and vector confirmation disagree on a hit")
+        found = _vector_gaps(claim, n, rows)
+        scalar = found != 0
+        scalar[0] = True  # the live differential check of the fast path
+        settled = indices.size - int(scalar.sum())
+        tally.hits += settled
+        tally.verified += settled
+        if claim == "thm110":
+            tally.detail["pre_hamiltonian"] += settled
+        gaps = found.tolist()
+    for i in np.flatnonzero(scalar).tolist():
+        index = int(indices[i])
+        row_list = [int(r) for r in rows[i]]
+        _record_hit(tally, claim, n, row_list, index, extra(index), gaps[i])
+
+
+def _no_extra(index: int) -> dict[str, Any]:
+    return {}
 
 
 Progress = Callable[[int, int], None]
@@ -741,9 +813,7 @@ def _run_exhaustive(
         spos = positions[strong]
         if spos.size:
             passing = scan.triple_condition_flags(n, srows, slack)
-            for pos, row_vec in zip(spos[passing], srows[passing]):
-                row_list = [int(r) for r in row_vec]
-                _record_hit(tally, spec.claim, n, row_list, int(pos), {})
+            _record_block(tally, spec.claim, n, srows[passing], spos[passing], _no_extra)
         tally.scanned += positions.size
         tick()
 
@@ -756,10 +826,16 @@ def _run_tournaments(
         for pos in positions:
             index = int(pos)
             rows = tournament_rows_from_index(n, index)
+            # screened by the scalar predicates themselves, so a second
+            # confirmation would repeat the same calls on the same rows
             if strong_rows(n, rows):
                 tally.strong += 1
                 if holds_a_k_rows(n, rows, 0):
-                    _record_hit(tally, spec.claim, n, rows, index, {})
+                    tally.hits += 1
+                    tally.verified += 1
+                    if hamiltonian_bypass_rows(n, rows) is None:
+                        tally.note_exception(index, from_rows(n, rows))
+                        tally.detail["exception_members"] += 1
         tally.scanned += positions.size
         tick()
 
@@ -769,16 +845,16 @@ def _run_sampled(
 ) -> None:
     slack = _CLAIM_SLACK[spec.claim]
     n = spec.n
+
+    def sample_extra(j: int) -> dict[str, Any]:
+        return {"sample": j, "stream_seed": derived_seed(spec.seed, j)}
+
     for ordinals in _block_positions(spec, tally, stop_after, _BLOCK):
         seeds = scan.seeds_for(spec.seed, ordinals)
         rows = scan.sample_strong_rows(n, spec.arc_prob, seeds)
         tally.strong += ordinals.size
         passing = scan.triple_condition_flags(n, rows, slack)
-        for ordinal, row_vec in zip(ordinals[passing], rows[passing]):
-            j = int(ordinal)
-            row_list = [int(r) for r in row_vec]
-            extra = {"sample": j, "stream_seed": derived_seed(spec.seed, j)}
-            _record_hit(tally, spec.claim, n, row_list, j, extra)
+        _record_block(tally, spec.claim, n, rows[passing], ordinals[passing], sample_extra)
         tally.scanned += ordinals.size
         tick()
 

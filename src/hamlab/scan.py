@@ -2,11 +2,13 @@
 
 The verification harness owes its throughput to these routines: whole blocks
 of labeled-space indices (or whole blocks of random samples) are decoded and
-screened with numpy, and only the rare digraphs that survive the cheap
-filters (strong connectivity, the triple degree-sum condition) are handed
-back for scalar re-confirmation and cycle search.  Every kernel mirrors a
+screened with numpy, and the digraphs that survive the cheap filters (strong
+connectivity, the triple degree-sum condition) are re-confirmed and judged a
+block at a time by the hit-block kernels below.  Every kernel mirrors a
 scalar routine bit for bit — the test suite holds the two routes equal over
-a full labeled space — so the fast path never becomes the only authority.
+full labeled spaces — and the harness still sends each block's first hit and
+every negative verdict through the scalar route, so the fast path never
+becomes the only authority.
 
 All row blocks are ``(B, n)`` uint64 arrays of out-adjacency bitmasks, the
 same encoding the scalar modules use.  The screens make O(n) or O(n²)
@@ -18,6 +20,15 @@ touch only the undecided rest:
 - ``triple_condition_flags`` reduces the O(n³) quantifier over (x, y, z) to
   one comparison per vertex x built from three per-row minima (see its
   docstring), and retires each row at the first x it fails.
+
+The hit-block kernels cover orders up to ``HIT_MAX_N``:
+
+- ``confirm_flags`` re-checks both hypotheses by formulations independent of
+  the screens (a Warshall closure, and the literal clause form of the triple
+  condition), so a defect in a screen has to be made twice to slip through;
+- ``cycle_lengths`` gives every cycle length of each row from one Held–Karp
+  pass over (subset, endpoint);
+- ``lemma35_flags`` is the paired low-degree property.
 """
 
 from __future__ import annotations
@@ -51,6 +62,9 @@ _SPREAD = np.array(
 
 #: sentinel above every triple-condition sum (at most 6(n-1) = 378 for n <= 64)
 _FAR = np.int16(1 << 10)
+
+#: largest order the hit-block kernels take: Held–Karp endpoint sets are uint8
+HIT_MAX_N = 8
 
 
 def mix_vec(
@@ -226,6 +240,113 @@ def triple_condition_flags(n: int, rows: np.ndarray, slack: int) -> np.ndarray:
     ok = np.zeros(count, dtype=bool)
     ok[live] = True
     return ok
+
+
+def _arc_matrix(n: int, rows: np.ndarray) -> np.ndarray:
+    """(B, n, n) boolean adjacency matrices: ``[b, u, v]`` holds the arc u→v."""
+    return ((rows[:, :, None] >> np.arange(n, dtype=np.uint64)) & ONE).astype(bool)
+
+
+def confirm_flags(n: int, rows: np.ndarray, slack: int) -> np.ndarray:
+    """Boolean mask of rows that are strong and satisfy the triple condition.
+
+    Written independently of both screens.  Strong connectivity comes from a
+    Warshall closure of the bitmask rows (row i gains row k's reach once it
+    reaches k), not from sweeps out of vertex 0.  The triple condition is the
+    literal clause form: for every x, a (B, y, z) array of both clause sums
+    over y non-adjacent to x and z ≠ x with the named arc absent, with
+    degrees counted from the adjacency matrices rather than the row bytes.
+    """
+    arcs = _arc_matrix(n, rows)
+    reach = rows.copy()
+    for k in range(n):
+        reach |= ((reach >> _SH[k]) & ONE) * reach[:, k : k + 1]
+    ok = ((reach | _BIT[:n]) == U((1 << n) - 1)).all(axis=1)
+    out_deg = arcs.sum(axis=2, dtype=np.int16)
+    in_deg = arcs.sum(axis=1, dtype=np.int16)
+    deg = out_deg + in_deg
+    # every clause sum is at most 6(n-1) < _FAR, so the clamp keeps each verdict
+    bound = min(max(3 * n - 2 + slack, 0), int(_FAR))
+    for x in range(n):
+        no_xz = ~arcs[:, x, :]  # (B, z)
+        no_zx = ~arcs[:, :, x]
+        nonadj = no_xz & no_zx  # (B, y)
+        nonadj[:, x] = no_xz[:, x] = no_zx[:, x] = False
+        pair = (deg[:, x, None] + deg)[:, :, None]  # d(x) + d(y), (B, y, 1)
+        via_xz = (out_deg[:, x, None] + in_deg)[:, None, :]  # d⁺(x) + d⁻(z), (B, 1, z)
+        via_zx = (in_deg[:, x, None] + out_deg)[:, None, :]  # d⁻(x) + d⁺(z)
+        low = no_xz[:, None, :] & (pair + via_xz < bound)
+        low |= no_zx[:, None, :] & (pair + via_zx < bound)
+        low &= nonadj[:, :, None]
+        ok &= ~low.any(axis=(1, 2))
+    return ok
+
+
+@lru_cache(maxsize=None)
+def _held_karp_layers(n: int) -> tuple:
+    """Subset layers of the Held–Karp pass, sizes 2..n.
+
+    Each layer is (size, subsets, their minimum vertices, steps); a step
+    pairs, for every subset, its j-th smallest member w (j >= 1) with the
+    subset minus w and w's bit, so a layer is built from the one below it.
+    """
+    layers = []
+    for size in range(2, n + 1):
+        subsets = [s for s in range(1 << n) if s.bit_count() == size]
+        members = [[v for v in range(n) if s >> v & 1] for s in subsets]
+        steps = []
+        for j in range(1, size):
+            w = np.array([m[j] for m in members])
+            prev = np.array([s & ~(1 << m[j]) for s, m in zip(subsets, members)])
+            bit = np.array([[1 << m[j]] for m in members], dtype=np.uint8)
+            steps.append((w, prev, bit))
+        roots = np.array([m[0] for m in members])
+        layers.append((size, np.array(subsets), roots, steps))
+    return tuple(layers)
+
+
+def cycle_lengths(n: int, rows: np.ndarray) -> np.ndarray:
+    """Per row, the bitmask of the cycle lengths present (bit k: a k-cycle).
+
+    Held–Karp over (subset, endpoint), rooted at each subset's minimum
+    vertex: ``ends[S]`` is the uint8 set of vertices v such that a path from
+    min(S) to v visits exactly S.  v joins ``ends[S]`` when some endpoint of
+    S minus v has an arc into v, and S closes a cycle of length |S| when an
+    endpoint has an arc back into min(S).  Every cycle is found once, from
+    its minimum vertex.  In-neighbour masks are built once per block.
+    """
+    if n > HIT_MAX_N:
+        raise ValueError(f"cycle_lengths covers orders up to {HIT_MAX_N}, got {n}")
+    count = rows.shape[0]
+    # into[w]: bit v set when v→w
+    into = np.packbits(_arc_matrix(n, rows), axis=1, bitorder="little")[:, 0].T.copy()
+    ends = np.zeros((1 << n, count), dtype=np.uint8)
+    for r in range(n):
+        ends[1 << r] = 1 << r
+    lengths = np.zeros(count, dtype=np.uint16)
+    for size, subsets, roots, steps in _held_karp_layers(n):
+        layer = np.zeros((subsets.size, count), dtype=np.uint8)
+        for w, prev, bit in steps:
+            step = ends[prev]
+            step &= into[w]
+            np.minimum(step, 1, out=step)
+            step *= bit
+            layer |= step
+        ends[subsets] = layer
+        layer &= into[roots]
+        lengths[layer.any(axis=0)] |= np.uint16(1 << size)
+    return lengths
+
+
+def lemma35_flags(n: int, rows: np.ndarray) -> np.ndarray:
+    """Boolean mask of rows where every vertex has at most one non-adjacent
+    partner with degree pair sum below 2n - 1 (the hypothesis is not checked)."""
+    arcs = _arc_matrix(n, rows)
+    deg = arcs.sum(axis=2, dtype=np.int16) + arcs.sum(axis=1, dtype=np.int16)
+    nonadj = ~(arcs | arcs.transpose(0, 2, 1))
+    nonadj[:, np.arange(n), np.arange(n)] = False
+    low = nonadj & (deg[:, :, None] + deg[:, None, :] < 2 * n - 1)
+    return (low.sum(axis=2) < 2).all(axis=1)
 
 
 def seeds_for(seed: int, ordinals: np.ndarray) -> np.ndarray:

@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import digraphs
-from hamlab import scan
+from hamlab import harness, scan
 from hamlab.conditions import holds_a_k_rows
 from hamlab.cycles import cycle_spectrum, hamiltonian_bypass, hamiltonian_cycle
 from hamlab.digraph import Digraph, is_strong, parse, serialize, strong_rows
@@ -226,6 +230,106 @@ def test_long_run_gate():
         run_campaign(CampaignSpec(claim="bypass_claim", n=7))
 
 
+# --- the block hit stage ---------------------------------------------------------------
+
+
+def _mutate(monkeypatch, name: str, change) -> None:
+    """Replace ``scan.<name>`` by a version whose output ``change`` edits in place."""
+    original = getattr(scan, name)
+
+    def mutated(*args):
+        out = original(*args)
+        change(args[0], out)
+        return out
+
+    monkeypatch.setattr(scan, name, mutated)
+
+
+#: a cycle length each claim's conclusion needs, by order
+_NEEDED_LENGTH = {"thm15": lambda n: n, "thm110": lambda n: n - 1, "conj19": lambda n: 3}
+
+
+@pytest.mark.parametrize("claim", sorted(_NEEDED_LENGTH))
+@pytest.mark.parametrize("hit", [0, -1], ids=["first-hit", "later-hit"])
+def test_dropped_cycle_length_is_caught(monkeypatch, claim, hit):
+    def drop(n, out):
+        out[hit] &= ~np.uint16(1 << _NEEDED_LENGTH[claim](n))
+
+    _mutate(monkeypatch, "cycle_lengths", drop)
+    with pytest.raises(RuntimeError, match="conclusion judges disagree"):
+        run_campaign(CampaignSpec(claim=claim, n=5))
+
+
+def test_flipped_lemma35_verdict_is_caught(monkeypatch):
+    def flip(n, out):
+        out[-1] = False
+
+    _mutate(monkeypatch, "lemma35_flags", flip)
+    with pytest.raises(RuntimeError, match="conclusion judges disagree"):
+        run_campaign(CampaignSpec(claim="lemma35", n=5))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CampaignSpec(claim="thm15", n=5),
+        CampaignSpec(claim="conj19", n=7, mode="sample", samples=4000, arc_prob=0.7, seed=2),
+    ],
+    ids=["exhaustive", "sampled"],
+)
+def test_rejected_vector_confirmation_is_caught(monkeypatch, spec):
+    def reject(n, out):
+        out[-1] = False
+
+    _mutate(monkeypatch, "confirm_flags", reject)
+    with pytest.raises(RuntimeError, match="vector confirmation disagree"):
+        run_campaign(spec)
+
+
+def test_sampled_order9_takes_scalar_route_frozen_counts(monkeypatch):
+    def unused(*args):
+        raise AssertionError("hit-block kernels called above their order cap")
+
+    for name in ("confirm_flags", "cycle_lengths", "lemma35_flags"):
+        monkeypatch.setattr(scan, name, unused)
+    res = run_campaign(
+        CampaignSpec(claim="conj19", n=9, mode="sample", samples=2000, arc_prob=0.7, seed=19)
+    )
+    assert res.scanned == res.strong == 2000
+    assert res.hypothesis_hits == res.verified == 754
+    assert res.counterexamples == ()
+
+
+def test_negative_verdicts_keep_scalar_detail(monkeypatch):
+    # below the slack-0 bound thm15 and conj19 have real failures
+    monkeypatch.setitem(harness._CLAIM_SLACK, "thm15", -4)
+    monkeypatch.setitem(harness._CLAIM_SLACK, "conj19", -4)
+    res = run_campaign(CampaignSpec(claim="thm15", n=4))
+    assert len(res.counterexamples) == res.hypothesis_hits - res.verified == 412
+    assert [c.index for c in res.counterexamples] == sorted(c.index for c in res.counterexamples)
+    for c in res.counterexamples:
+        assert c.detail == {"claim": "thm15", "reason": "no spanning cycle"}
+        assert hamiltonian_cycle(parse(c.digraph)) is None
+    res = run_campaign(CampaignSpec(claim="conj19", n=4))
+    assert len(res.counterexamples) == 505
+    for c in res.counterexamples:
+        missing = [k for k in range(3, 5) if k not in cycle_spectrum(parse(c.digraph)).present]
+        assert c.detail == {"claim": "conj19", "conjecture_candidate": True, "missing_lengths": missing}
+
+
+def test_tournament_hits_confirmed_once(monkeypatch):
+    calls = {"holds": 0}
+    original = harness.holds_a_k_rows
+
+    def counted(*args):
+        calls["holds"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(harness, "holds_a_k_rows", counted)
+    res = run_campaign(CampaignSpec(claim="bypass_claim", n=5))
+    assert calls["holds"] == res.strong == 544
+
+
 # --- sampling ------------------------------------------------------------------------
 
 
@@ -272,6 +376,13 @@ def test_shard_merge_equals_single_run_sampled():
     parts = [run_campaign(CampaignSpec(shard=i, shards=4, **base)) for i in range(4)]
     merged = merge_results(parts)
     assert merged == single
+
+
+def test_shard_merge_equals_single_run_bypass():
+    single = run_campaign(CampaignSpec(claim="bypass_claim", n=5))
+    parts = [run_campaign(CampaignSpec(claim="bypass_claim", n=5, shard=i, shards=3)) for i in range(3)]
+    assert all(p.exceptions for p in parts)  # every shard holds members of the one class
+    assert merge_results(parts) == single
 
 
 def test_run_sharded_pool_equals_single():
@@ -325,6 +436,36 @@ def test_checkpoint_resume_sampled(tmp_path):
     clean = run_campaign(CampaignSpec(**base))
     assert resumed.scanned == clean.scanned and resumed.detail == clean.detail
     assert resumed.hypothesis_hits == clean.hypothesis_hits
+
+
+RESUME_SPECS = {
+    claim: CampaignSpec(claim=claim, n=4) for claim in ("thm15", "thm110", "lemma35", "conj19")
+}
+RESUME_SPECS["bypass_claim"] = CampaignSpec(claim="bypass_claim", n=5)
+RESUME_SPECS["conj19-sampled"] = CampaignSpec(
+    claim="conj19", n=6, mode="sample", samples=2000, arc_prob=0.6, seed=13
+)
+RESUME_SPECS["lemma_suite"] = CampaignSpec(claim="lemma_suite", n=6, mode="sample", samples=600, seed=5)
+
+
+@lru_cache(maxsize=None)
+def _uninterrupted(name: str):
+    return run_campaign(RESUME_SPECS[name])
+
+
+@given(
+    st.sampled_from(sorted(RESUME_SPECS)),
+    st.lists(st.integers(min_value=1, max_value=4096), min_size=1, max_size=3),
+)
+@settings(max_examples=40)
+def test_resume_equals_uninterrupted_for_every_claim(name, stops):
+    base = RESUME_SPECS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = replace(base, checkpoint_path=os.path.join(tmp, "resume.json"))
+        for stop in stops:
+            run_campaign(spec, stop_after=stop)
+        resumed = run_campaign(spec)
+    assert replace(resumed, spec=base) == _uninterrupted(name)
 
 
 def test_checkpoint_rejects_other_spec(tmp_path):

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hamlab import scan
-from hamlab.conditions import holds_a_k_rows
+from hamlab.conditions import holds_a_k_rows, lemma35_rows
+from hamlab.cycles import find_cycle_rows
 from hamlab.digraph import strong_rows
 from hamlab.generators import (
     GiveUpError,
@@ -54,8 +55,8 @@ def test_strong_flags_match_scalar_over_full_order5_space(order5_rows):
 
 
 @st.composite
-def row_blocks(draw):
-    n = draw(st.integers(min_value=4, max_value=16))
+def row_blocks(draw, min_n: int = 4, max_n: int = 16):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     count = draw(st.integers(min_value=0, max_value=64))
     density = draw(st.sampled_from([0.0, 0.5, 0.8, 0.95, 1.0]))
     seed = draw(st.integers(min_value=0, max_value=(1 << 32) - 1))
@@ -85,6 +86,95 @@ def test_triple_flags_extreme_slack(order5_rows, slack: int):
     flags = scan.triple_condition_flags(5, rows, slack)
     expected = [holds_a_k_rows(5, row, slack) for row in rows.tolist()]
     assert flags.tolist() == expected
+
+
+# --- hit-block kernels vs their scalar twins -------------------------------------
+
+
+def _scalar_lengths(n: int, row: list[int]) -> int:
+    return sum(1 << k for k in range(2, n + 1) if find_cycle_rows(n, row, k) is not None)
+
+
+def _in_chunks(kernel, rows: np.ndarray, *args) -> np.ndarray:
+    """A hit-block kernel over a large block, fed a harness-sized chunk at a time."""
+    width = 1 << 15
+    return np.concatenate(
+        [kernel(rows.shape[1], rows[i : i + width], *args) for i in range(0, rows.shape[0], width)]
+    )
+
+
+@pytest.fixture(scope="module")
+def order4_rows() -> np.ndarray:
+    return scan.decode_rows(4, np.arange(1 << 12, dtype=np.uint64))
+
+
+@pytest.fixture(scope="module")
+def order5_strong(order5_rows) -> np.ndarray:
+    return np.array([strong_rows(5, row) for row in order5_rows.tolist()])
+
+
+@pytest.mark.parametrize("slack", [0, 3])
+def test_confirm_flags_match_scalar_over_full_order4_space(order4_rows, slack: int):
+    flags = scan.confirm_flags(4, order4_rows, slack)
+    expected = [strong_rows(4, r) and holds_a_k_rows(4, r, slack) for r in order4_rows.tolist()]
+    assert flags.tolist() == expected
+
+
+@pytest.fixture(scope="module")
+def order5_confirmed(order5_rows, order5_strong) -> dict[int, np.ndarray]:
+    """Scalar strong ∧ triple condition over the full order-5 space, slacks 0 and 3.
+
+    Slack 3 is evaluated only where slack 0 holds: a larger slack only raises
+    the bound.
+    """
+    confirmed = {}
+    live = order5_strong
+    for slack in (0, 3):
+        flags = live.copy()
+        for i in np.flatnonzero(live).tolist():
+            flags[i] = holds_a_k_rows(5, order5_rows[i].tolist(), slack)
+        confirmed[slack] = live = flags
+    return confirmed
+
+
+@pytest.mark.parametrize("slack", [0, 3])
+def test_confirm_flags_match_scalar_over_full_order5_space(order5_rows, order5_confirmed, slack):
+    flags = _in_chunks(scan.confirm_flags, order5_rows, slack)
+    assert np.array_equal(flags, order5_confirmed[slack])
+
+
+def test_hit_judges_match_scalar_over_full_order4_space(order4_rows):
+    rows = order4_rows.tolist()
+    assert scan.cycle_lengths(4, order4_rows).tolist() == [_scalar_lengths(4, r) for r in rows]
+    assert scan.lemma35_flags(4, order4_rows).tolist() == [lemma35_rows(4, r) for r in rows]
+
+
+def test_hit_judges_match_scalar_over_order5_hits(order5_rows, order5_confirmed):
+    # the slack-3 hits are among the slack-0 hits
+    hits = order5_rows[order5_confirmed[0]]
+    assert hits.shape[0] == 95_484
+    lengths = _in_chunks(scan.cycle_lengths, hits)
+    paired = _in_chunks(scan.lemma35_flags, hits)
+    for i, row in enumerate(hits.tolist()):
+        assert int(lengths[i]) == _scalar_lengths(5, row)
+        assert bool(paired[i]) == lemma35_rows(5, row)
+
+
+@given(row_blocks(min_n=6, max_n=8), st.integers(min_value=0, max_value=6))
+def test_hit_kernels_match_scalar_on_random_blocks(block, slack: int):
+    n, rows = block
+    confirmed = scan.confirm_flags(n, rows, slack)
+    lengths = scan.cycle_lengths(n, rows)
+    paired = scan.lemma35_flags(n, rows)
+    for i, row in enumerate(rows.tolist()):
+        assert bool(confirmed[i]) == (strong_rows(n, row) and holds_a_k_rows(n, row, slack))
+        assert int(lengths[i]) == _scalar_lengths(n, row)
+        assert bool(paired[i]) == lemma35_rows(n, row)
+
+
+def test_cycle_lengths_order_capped():
+    with pytest.raises(ValueError):
+        scan.cycle_lengths(scan.HIT_MAX_N + 1, np.zeros((1, scan.HIT_MAX_N + 1), dtype=np.uint64))
 
 
 @pytest.mark.parametrize("arc_prob", [0.3, 0.5, 0.9])
