@@ -14,9 +14,9 @@ order ``scan.HIT_MAX_N`` the hits of a block are then re-confirmed by a
 vector kernel written independently of the screens and judged by a vector
 cycle-length pass.  The scalar predicates and the scalar judge still take
 every negative verdict (which also builds its counterexample detail), the
-first hit of every block, and every hit above that order; wherever both
-routes run they must agree, so the fast path can never silently decide
-anything.
+first hit of every block, every hit above that order and every sampled
+bypass_claim hit (there is no vector bypass judge); wherever both routes
+run they must agree, so the fast path can never silently decide anything.
 """
 
 from __future__ import annotations
@@ -554,41 +554,6 @@ def _confirm_hit(n: int, rows: list[int], slack: int) -> None:
         )
 
 
-def _judge(claim: str, n: int, rows: list[int]) -> tuple[bool, Optional[str], dict[str, Any]]:
-    """Check one claim's conclusion; returns (ok, branch counter, failure detail)."""
-    if claim == "thm15":
-        if find_cycle_rows(n, rows, n) is not None:
-            return True, None, {}
-        return False, None, {"reason": "no spanning cycle"}
-    if claim == "thm110":
-        if n >= 3 and find_cycle_rows(n, rows, n - 1) is not None:
-            return True, "pre_hamiltonian", {}
-        parts = recognize_kstar(from_rows(n, rows))
-        if parts is not None and parts[0] == parts[1]:
-            return True, "kstar", {}
-        return False, None, {
-            "reason": "no cycle of length n-1 and not a balanced complete bipartite digraph"
-        }
-    if claim == "conj19":
-        missing = [
-            length
-            for length in range(3, n + 1)
-            if find_cycle_rows(n, rows, length) is None
-        ]
-        if not missing:
-            return True, None, {}
-        return False, None, {"conjecture_candidate": True, "missing_lengths": missing}
-    if claim == "lemma35":
-        if lemma35_rows(n, rows):
-            return True, None, {}
-        verdict = lemma35_holds(from_rows(n, rows))
-        return False, None, {
-            "reason": "a vertex has two non-adjacent partners below the pair-sum bound",
-            "violation": verdict.witnesses[0] if verdict.witnesses else None,
-        }
-    raise CampaignError(f"no conclusion judge for claim {claim!r}")
-
-
 def _wanted(claim: str, n: int) -> int:
     """Conclusion bits of a claim: the cycle lengths it needs (bit 0 for lemma35)."""
     if claim == "thm15":
@@ -597,25 +562,65 @@ def _wanted(claim: str, n: int) -> int:
         return 1 << (n - 1)
     if claim == "conj19":
         return (1 << (n + 1)) - (1 << 3)
-    return 1
+    if claim == "lemma35":
+        return 1
+    raise CampaignError(f"no conclusion judge for claim {claim!r}")
+
+
+def _judge(
+    claim: str, n: int, rows: list[int]
+) -> tuple[bool, Optional[str], dict[str, Any], int]:
+    """Check one claim's conclusion.
+
+    Returns (ok, branch counter, failure detail, missing): ``missing`` holds
+    the bits of ``_wanted(claim, n)`` the digraph lacks.  thm110's kstar
+    branch is verified although its cycle of length n-1 is missing.
+    """
+    wanted = _wanted(claim, n)
+    if claim == "lemma35":
+        missing = 0 if lemma35_rows(n, rows) else wanted
+    else:
+        missing = sum(
+            1 << length
+            for length in range(n + 1)
+            if wanted >> length & 1 and find_cycle_rows(n, rows, length) is None
+        )
+    if not missing:
+        return True, "pre_hamiltonian" if claim == "thm110" else None, {}, 0
+    if claim == "thm15":
+        return False, None, {"reason": "no spanning cycle"}, missing
+    if claim == "thm110":
+        parts = recognize_kstar(from_rows(n, rows))
+        if parts is not None and parts[0] == parts[1]:
+            return True, "kstar", {}, missing
+        return False, None, {
+            "reason": "no cycle of length n-1 and not a balanced complete bipartite digraph"
+        }, missing
+    if claim == "conj19":
+        lengths = [length for length in range(n + 1) if missing >> length & 1]
+        return False, None, {"conjecture_candidate": True, "missing_lengths": lengths}, missing
+    verdict = lemma35_holds(from_rows(n, rows))
+    return False, None, {
+        "reason": "a vertex has two non-adjacent partners below the pair-sum bound",
+        "violation": verdict.witnesses[0] if verdict.witnesses else None,
+    }, missing
 
 
 def _vector_gaps(claim: str, n: int, rows: np.ndarray) -> np.ndarray:
     """Per hit, the conclusion bits the vector kernels find missing (0: verified)."""
+    wanted = np.uint16(_wanted(claim, n))
     if claim == "lemma35":
-        return (~scan.lemma35_flags(n, rows)).astype(np.uint16)
-    return np.uint16(_wanted(claim, n)) & ~scan.cycle_lengths(n, rows)
+        return wanted * ~scan.lemma35_flags(n, rows)
+    return wanted & ~scan.cycle_lengths(n, rows)
 
 
-def _scalar_gaps(
-    claim: str, n: int, ok: bool, branch: Optional[str], failure: dict[str, Any]
-) -> int:
-    """The conclusion bits a scalar verdict of ``_judge`` finds missing."""
-    if claim == "conj19":
-        return sum(1 << length for length in failure.get("missing_lengths", ()))
-    # thm110's kstar branch is verified, yet its hit has no cycle of length n-1
-    met = branch == "pre_hamiltonian" if claim == "thm110" else ok
-    return 0 if met else _wanted(claim, n)
+def _bypass_hit(tally: _Tally, n: int, rows: list[int], index: int) -> None:
+    """Count one bypass_claim hit; one without a Hamiltonian bypass is excused."""
+    tally.hits += 1
+    tally.verified += 1
+    if hamiltonian_bypass_rows(n, rows) is None:
+        tally.note_exception(index, from_rows(n, rows))
+        tally.detail["exception_members"] += 1
 
 
 def _record_hit(
@@ -633,8 +638,11 @@ def _record_hit(
     has one; the scalar verdict must agree with it.
     """
     _confirm_hit(n, rows, _CLAIM_SLACK[claim])
-    ok, branch, failure = _judge(claim, n, rows)
-    if gaps is not None and _scalar_gaps(claim, n, ok, branch, failure) != gaps:
+    if claim == "bypass_claim":
+        _bypass_hit(tally, n, rows, index)
+        return
+    ok, branch, failure, missing = _judge(claim, n, rows)
+    if gaps is not None and missing != gaps:
         raise RuntimeError("vector and scalar conclusion judges disagree on a hypothesis hit")
     tally.hits += 1
     if ok:
@@ -663,7 +671,8 @@ def _record_block(
     ``scan.confirm_flags`` and judged by the vector kernels; the hits they
     verify are counted at once.  The scalar route (``_record_hit``) takes
     every other hit and the block's first one, and raises if its verdict
-    differs from the vector one.  Above that order every hit takes it.
+    differs from the vector one.  Above that order, and for bypass_claim
+    (which has no vector judge), every hit takes it.
     """
     if not indices.size:
         return
@@ -672,15 +681,16 @@ def _record_block(
     if n <= scan.HIT_MAX_N:
         if not scan.confirm_flags(n, rows, _CLAIM_SLACK[claim]).all():
             raise RuntimeError("vectorized screens and vector confirmation disagree on a hit")
-        found = _vector_gaps(claim, n, rows)
-        scalar = found != 0
-        scalar[0] = True  # the live differential check of the fast path
-        settled = indices.size - int(scalar.sum())
-        tally.hits += settled
-        tally.verified += settled
-        if claim == "thm110":
-            tally.detail["pre_hamiltonian"] += settled
-        gaps = found.tolist()
+        if claim != "bypass_claim":
+            found = _vector_gaps(claim, n, rows)
+            scalar = found != 0
+            scalar[0] = True  # the live differential check of the fast path
+            settled = indices.size - int(scalar.sum())
+            tally.hits += settled
+            tally.verified += settled
+            if claim == "thm110":
+                tally.detail["pre_hamiltonian"] += settled
+            gaps = found.tolist()
     for i in np.flatnonzero(scalar).tolist():
         index = int(indices[i])
         row_list = [int(r) for r in rows[i]]
@@ -831,11 +841,7 @@ def _run_tournaments(
             if strong_rows(n, rows):
                 tally.strong += 1
                 if holds_a_k_rows(n, rows, 0):
-                    tally.hits += 1
-                    tally.verified += 1
-                    if hamiltonian_bypass_rows(n, rows) is None:
-                        tally.note_exception(index, from_rows(n, rows))
-                        tally.detail["exception_members"] += 1
+                    _bypass_hit(tally, n, rows, index)
         tally.scanned += positions.size
         tick()
 

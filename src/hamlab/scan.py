@@ -243,8 +243,15 @@ def triple_condition_flags(n: int, rows: np.ndarray, slack: int) -> np.ndarray:
 
 
 def _arc_matrix(n: int, rows: np.ndarray) -> np.ndarray:
-    """(B, n, n) boolean adjacency matrices: ``[b, u, v]`` holds the arc u→v."""
-    return ((rows[:, :, None] >> np.arange(n, dtype=np.uint64)) & ONE).astype(bool)
+    """(B, n, n) boolean adjacency matrices: ``[b, u, v]`` holds the arc u→v.
+
+    Up to ``HIT_MAX_N`` a row fits in one byte, so the bits unpack straight
+    to one byte per entry.
+    """
+    if n > HIT_MAX_N:
+        raise ValueError(f"hit-block kernels cover orders up to {HIT_MAX_N}, got {n}")
+    bits = np.unpackbits(rows.astype(np.uint8)[:, :, None], axis=2, bitorder="little")
+    return bits[:, :, :n].view(bool)
 
 
 def confirm_flags(n: int, rows: np.ndarray, slack: int) -> np.ndarray:
@@ -319,7 +326,11 @@ def cycle_lengths(n: int, rows: np.ndarray) -> np.ndarray:
         raise ValueError(f"cycle_lengths covers orders up to {HIT_MAX_N}, got {n}")
     count = rows.shape[0]
     # into[w]: bit v set when v→w
-    into = np.packbits(_arc_matrix(n, rows), axis=1, bitorder="little")[:, 0].T.copy()
+    small = rows.astype(np.uint8)
+    heads = np.arange(n, dtype=np.uint8)[:, None]
+    into = np.zeros((n, count), dtype=np.uint8)
+    for v in range(n):
+        into |= ((small[:, v] >> heads) & 1) << v
     ends = np.zeros((1 << n, count), dtype=np.uint8)
     for r in range(n):
         ends[1 << r] = 1 << r

@@ -82,7 +82,7 @@ def test_criterion_02_preham_or_bipartite_exhaustive():
     # the canonical balanced bipartite digraph itself is a hypothesis hit
     k22 = gen_kstar(2, 2)
     assert is_strong(k22) and condition_a_k(k22, 0).holds
-    ok, branch, _ = _judge("thm110", 4, list(k22.out))
+    ok, branch, _, _ = _judge("thm110", 4, list(k22.out))
     assert ok and branch == "kstar"
     assert index_from_rows(4, list(k22.out)) < 4096
 

@@ -151,25 +151,26 @@ def test_vector_kernels_match_scalar_over_full_n4_space():
 
 
 def test_judge_spanning_cycle_claim():
-    ok, branch, detail = _judge("thm15", 4, list(gen_kstar(2, 2).out))
-    assert ok and branch is None
-    ok, _, detail = _judge("thm15", 5, list(gen_two_cliques(3).out))
-    assert not ok
+    ok, branch, detail, missing = _judge("thm15", 4, list(gen_kstar(2, 2).out))
+    assert ok and branch is None and missing == 0
+    ok, _, detail, missing = _judge("thm15", 5, list(gen_two_cliques(3).out))
+    assert not ok and missing == 1 << 5
 
 
 def test_judge_preham_or_kstar_claim():
-    ok, branch, _ = _judge("thm110", 4, list(gen_kstar(2, 2).out))
-    assert ok and branch == "kstar"
+    ok, branch, _, missing = _judge("thm110", 4, list(gen_kstar(2, 2).out))
+    assert ok and branch == "kstar" and missing == 1 << 3
     complete = [0b11110 ^ (1 << v) for v in range(4)]
     complete = [(0b1111 & ~(1 << v)) for v in range(4)]
-    ok, branch, _ = _judge("thm110", 4, complete)
+    ok, branch, _, _ = _judge("thm110", 4, complete)
     assert ok and branch == "pre_hamiltonian"
 
 
 def test_judge_conjecture_candidate_detail():
-    ok, _, detail = _judge("conj19", 6, list(gen_kstar(3, 3).out))
+    ok, _, detail, missing = _judge("conj19", 6, list(gen_kstar(3, 3).out))
     assert not ok
     assert detail == {"conjecture_candidate": True, "missing_lengths": [3, 5]}
+    assert missing == 1 << 3 | 1 << 5
 
 
 # --- campaigns: frozen exhaustive numbers -------------------------------------------
@@ -317,6 +318,27 @@ def test_negative_verdicts_keep_scalar_detail(monkeypatch):
         assert c.detail == {"claim": "conj19", "conjecture_candidate": True, "missing_lengths": missing}
 
 
+def test_sampled_bypass_claim_frozen_counts():
+    res = run_campaign(
+        CampaignSpec(claim="bypass_claim", n=5, mode="sample", samples=7000, arc_prob=0.5, seed=1)
+    )
+    assert res.scanned == res.strong == 7000
+    assert res.hypothesis_hits == res.verified == 1185
+    assert res.counterexamples == ()
+    assert res.detail == {"exception_members": 1}
+    assert [(e.index, e.count) for e in res.exceptions] == [(6759, 1)]
+    assert hamiltonian_bypass(parse(res.exceptions[0].digraph)) is None
+
+
+@pytest.mark.parametrize("claim", ["bypass_claim", "lemma_suite"])
+def test_hit_judges_reject_claims_they_do_not_judge(claim):
+    rows = np.zeros((1, 5), dtype=np.uint64)
+    with pytest.raises(CampaignError, match="no conclusion judge"):
+        harness._vector_gaps(claim, 5, rows)
+    with pytest.raises(CampaignError, match="no conclusion judge"):
+        _judge(claim, 5, [0] * 5)
+
+
 def test_tournament_hits_confirmed_once(monkeypatch):
     calls = {"holds": 0}
     original = harness.holds_a_k_rows
@@ -444,6 +466,9 @@ RESUME_SPECS = {
 RESUME_SPECS["bypass_claim"] = CampaignSpec(claim="bypass_claim", n=5)
 RESUME_SPECS["conj19-sampled"] = CampaignSpec(
     claim="conj19", n=6, mode="sample", samples=2000, arc_prob=0.6, seed=13
+)
+RESUME_SPECS["bypass_claim-sampled"] = CampaignSpec(
+    claim="bypass_claim", n=5, mode="sample", samples=2000, arc_prob=0.5, seed=1
 )
 RESUME_SPECS["lemma_suite"] = CampaignSpec(claim="lemma_suite", n=6, mode="sample", samples=600, seed=5)
 

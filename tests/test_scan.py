@@ -172,9 +172,12 @@ def test_hit_kernels_match_scalar_on_random_blocks(block, slack: int):
         assert bool(paired[i]) == lemma35_rows(n, row)
 
 
-def test_cycle_lengths_order_capped():
+@pytest.mark.parametrize("kernel", ["confirm_flags", "cycle_lengths", "lemma35_flags"])
+def test_hit_kernels_order_capped(kernel):
+    n = scan.HIT_MAX_N + 1
+    args = (0,) if kernel == "confirm_flags" else ()
     with pytest.raises(ValueError):
-        scan.cycle_lengths(scan.HIT_MAX_N + 1, np.zeros((1, scan.HIT_MAX_N + 1), dtype=np.uint64))
+        getattr(scan, kernel)(n, np.zeros((1, n), dtype=np.uint64), *args)
 
 
 @pytest.mark.parametrize("arc_prob", [0.3, 0.5, 0.9])
