@@ -1,9 +1,13 @@
 """Exact cycle and path search plus the constructive absorption operations.
 
-All searches are depth-first backtracking over bitset neighbourhoods and are
-deterministic: roots ascend, neighbours are tried in ascending id order, and
-cycle witnesses come out in canonical rotation (minimum vertex first) because
-a cycle is only discovered from its minimum vertex.
+Cycle, path, bypass and covering-path searches share one iterative
+depth-first kernel, ``_first_path``, over bitset neighbourhoods.  It keeps an
+explicit stack of untried candidate masks, tries neighbours in ascending id
+order and restricts the last step to an end set (a cycle's closing
+in-neighbours, a bypass chord's head, a covering path's goal), so each search
+returns the lexicographically least witness.  Roots ascend, and cycle
+witnesses come out in canonical rotation (minimum vertex first) because a
+cycle is only searched from its minimum vertex.
 
 The constructive operations (vertex insertion, growing cycles around an
 external vertex, absorbing a path into a cycle, splicing a path into another)
@@ -38,6 +42,43 @@ class LemmaViolation(RuntimeError):
 # row-level kernels
 
 
+def _first_path(
+    rows: Sequence[int], start: int, allowed: int, length: int, ends: int
+) -> Optional[tuple[int, ...]]:
+    """Lexicographically least path of ``length`` vertices from ``start``.
+
+    Every vertex after ``start`` comes from ``allowed`` except the last,
+    which must lie in ``ends`` instead.  Depth-first over an explicit stack
+    of untried candidate masks, lowest vertex first, so the first path found
+    is the least one.
+    """
+    if length == 1:
+        return (start,) if ends >> start & 1 else None
+    path = [start]
+    used = 1 << start
+    depth = 1
+    final = length - 1  # depth at which the next vertex is the last
+    stack: list[int] = []
+    cand = rows[start] & ~used & (ends if final == 1 else allowed)
+    while True:
+        if cand:
+            low = cand & -cand
+            w = low.bit_length() - 1
+            path.append(w)
+            depth += 1
+            if depth == length:
+                return tuple(path)
+            stack.append(cand ^ low)
+            used |= low
+            cand = rows[w] & ~used & (ends if depth == final else allowed)
+        elif stack:
+            cand = stack.pop()
+            used ^= 1 << path.pop()
+            depth -= 1
+        else:
+            return None
+
+
 def find_cycle_rows(
     n: int, rows: Sequence[int], length: int, allowed: Optional[int] = None
 ) -> Optional[tuple[int, ...]]:
@@ -50,27 +91,24 @@ def find_cycle_rows(
     pool = (1 << n) - 1 if allowed is None else allowed
     if length < 2 or length > pool.bit_count():
         return None
-    path: list[int] = []
-
-    for root in bits(pool):
-        cand = pool & ~((1 << (root + 1)) - 1)
-        if cand.bit_count() < length - 1:
-            break  # pools only shrink as the root rises
-        path.clear()
-        path.append(root)
-
-        def dfs(v: int, used: int) -> bool:
-            if len(path) == length:
-                return bool(rows[v] >> root & 1)
-            for w in bits(rows[v] & cand & ~used):
-                path.append(w)
-                if dfs(w, used | 1 << w):
-                    return True
-                path.pop()
-            return False
-
-        if dfs(root, 1 << root):
-            return tuple(path)
+    cand = pool
+    while cand.bit_count() >= length:  # pools only shrink as the root rises
+        low = cand & -cand
+        cand ^= low  # the vertices above the root
+        root = low.bit_length() - 1
+        if not rows[root] & cand:
+            continue
+        ends = 0  # in-neighbours of the root: the vertices that close the cycle
+        rest = cand
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            if rows[v.bit_length() - 1] & low:
+                ends |= v
+        if ends:
+            found = _first_path(rows, root, cand, length, ends)
+            if found is not None:
+                return found
     return None
 
 
@@ -81,24 +119,10 @@ def find_path_rows(
     pool = (1 << n) - 1 if allowed is None else allowed
     if length < 1 or length > pool.bit_count():
         return None
-    path: list[int] = []
-
     for start in bits(pool):
-        path.clear()
-        path.append(start)
-
-        def dfs(v: int, used: int) -> bool:
-            if len(path) == length:
-                return True
-            for w in bits(rows[v] & pool & ~used):
-                path.append(w)
-                if dfs(w, used | 1 << w):
-                    return True
-                path.pop()
-            return False
-
-        if dfs(start, 1 << start):
-            return tuple(path)
+        found = _first_path(rows, start, pool, length, pool)
+        if found is not None:
+            return found
     return None
 
 
@@ -107,23 +131,10 @@ def hamiltonian_bypass_rows(
 ) -> Optional[tuple[tuple[int, ...], tuple[int, int]]]:
     """Spanning path whose first vertex also sends an arc to its last vertex."""
     full = (1 << n) - 1
-    path: list[int] = []
     for start in range(n):
-        path.clear()
-        path.append(start)
-
-        def dfs(v: int, used: int) -> bool:
-            if used == full:
-                return bool(rows[start] >> v & 1)
-            for w in bits(rows[v] & ~used):
-                path.append(w)
-                if dfs(w, used | 1 << w):
-                    return True
-                path.pop()
-            return False
-
-        if dfs(start, 1 << start):
-            return tuple(path), (start, path[-1])
+        found = _first_path(rows, start, full, n, rows[start])
+        if found is not None:
+            return found, (start, found[-1])
     return None
 
 
@@ -138,25 +149,11 @@ def _cover_path_rows(
     rows: Sequence[int], start: int, goal: int, pool: int
 ) -> Optional[tuple[int, ...]]:
     """Path from start to goal visiting exactly the vertices of ``pool``."""
+    if not (pool >> start & 1 and pool >> goal & 1):
+        return None
     if start == goal:
         return (start,) if pool == 1 << start else None
-    path = [start]
-
-    def dfs(v: int, used: int) -> bool:
-        if used == pool:
-            return v == goal
-        if v == goal:
-            return False
-        for w in bits(rows[v] & pool & ~used):
-            path.append(w)
-            if dfs(w, used | 1 << w):
-                return True
-            path.pop()
-        return False
-
-    if dfs(start, 1 << start):
-        return tuple(path)
-    return None
+    return _first_path(rows, start, pool & ~(1 << goal), pool.bit_count(), 1 << goal)
 
 
 # ---------------------------------------------------------------------------

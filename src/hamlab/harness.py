@@ -42,6 +42,7 @@ from .cycles import (
     hamiltonian_bypass_rows,
     insert_vertex,
     merge_path,
+    pancyclic_rows,
 )
 from .digraph import (
     CycleWitness,
@@ -66,7 +67,6 @@ from .generators import (
     gen_kstar_minus_arc,
     gen_two_cliques,
     EnumerationCursor,
-    SplitMix64,
     tournament_rows_from_index,
 )
 
@@ -91,6 +91,10 @@ _LEMMA_KEYS = ("external_cycles", "insertion", "absorption", "merge")
 
 #: lemma_suite orders: one 64-bit draw holds the n(n-1) arc bits
 _LEMMA_MAX_N = 8
+
+#: lemma samples turned into Python lists at a time; converting a whole block
+#: at once raised peak memory by about 4 MB
+_LEMMA_CHUNK = 256
 
 
 class CampaignError(ValueError):
@@ -235,8 +239,7 @@ def classify(d: Digraph) -> ClassificationRecord:
         a3=margin.admits(3),
         hamiltonian=d.n >= 2 and find_cycle_rows(d.n, rows, d.n) is not None,
         pre_hamiltonian=d.n >= 3 and find_cycle_rows(d.n, rows, d.n - 1) is not None,
-        pancyclic=d.n >= 3
-        and all(find_cycle_rows(d.n, rows, length) is not None for length in range(3, d.n + 1)),
+        pancyclic=pancyclic_rows(d.n, rows),
         kstar_balanced=balanced,
         ham_bypass=d.n >= 3 and hamiltonian_bypass_rows(d.n, rows) is not None,
         ak_margin=margin,
@@ -325,14 +328,7 @@ class CampaignResult:
         else:
             cursor_json = self.cursor
         return {
-            "claim": self.spec.claim,
-            "n": self.spec.n,
-            "mode": self.spec.mode,
-            "shard": self.spec.shard,
-            "shards": self.spec.shards,
-            "samples": self.spec.samples,
-            "arc_prob": self.spec.arc_prob,
-            "seed": self.spec.seed,
+            **self.spec.identity(),
             "scanned": self.scanned,
             "strong": self.strong,
             "hypothesis_hits": self.hypothesis_hits,
@@ -344,6 +340,26 @@ class CampaignResult:
             "complete": self.complete,
             "elapsed_ms": self.elapsed_ms,
         }
+
+    @classmethod
+    def from_json(cls, data: dict[str, Any]) -> "CampaignResult":
+        """Inverse of ``to_json``; ``checkpoint_path`` is not part of a result."""
+        cursor = data["cursor"]
+        if isinstance(cursor, dict):  # an exhaustive scan's EnumerationCursor
+            cursor = cursor["index"]
+        return cls(
+            spec=CampaignSpec.from_json(data),
+            scanned=data["scanned"],
+            strong=data["strong"],
+            hypothesis_hits=data["hypothesis_hits"],
+            verified=data["verified"],
+            counterexamples=tuple(Counterexample.from_json(c) for c in data["counterexamples"]),
+            exceptions=tuple(ExceptionClass.from_json(e) for e in data["exceptions"]),
+            detail=data["detail"],
+            cursor=cursor,
+            complete=data["complete"],
+            elapsed_ms=data["elapsed_ms"],
+        )
 
 
 def _merge_detail(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
@@ -872,33 +888,88 @@ def _run_sampled(
 def _run_lemma_suite(
     spec: CampaignSpec, tally: _Tally, stop_after: Optional[int], tick: Callable[[], None]
 ) -> None:
+    """Screen blocks of seeded random digraphs for the four lemma setups.
+
+    Each block's inputs (order, rows, strong flag, draws) come from numpy in
+    one pass (``_lemma_inputs``); the samples then run one by one in ordinal
+    order, turned into Python lists ``_LEMMA_CHUNK`` at a time to bound the
+    memory the lists take.  The first sample of every chunk is re-screened
+    by the scalar ``strong_rows``, and the campaign raises if the two screens
+    disagree.  Checkpoints fall after every block of 4096 samples.
+    """
     for ordinals in _block_positions(spec, tally, stop_after, 1 << 12):
-        for ordinal in ordinals:
-            _lemma_sample(spec, tally, int(ordinal))
+        orders, rows, strong, pairs = _lemma_inputs(spec.seed, spec.n, ordinals)
+        tally.strong += int(strong.sum())
+        for lo in range(0, ordinals.size, _LEMMA_CHUNK):
+            hi = lo + _LEMMA_CHUNK
+            first = int(orders[lo])
+            if strong_rows(first, rows[lo, :first].tolist()) != strong[lo]:
+                raise RuntimeError("vector and scalar strong screens disagree on a lemma sample")
+            chunk = zip(
+                ordinals[lo:hi].tolist(),
+                orders[lo:hi].tolist(),
+                rows[lo:hi].tolist(),
+                pairs[:, lo:hi].T.tolist(),
+            )
+            for ordinal, n, row, draws in chunk:
+                _lemma_sample(spec, tally, ordinal, n, row[:n], draws)
         tally.scanned += ordinals.size
         tick()
 
 
-def _lemma_sample(spec: CampaignSpec, tally: _Tally, ordinal: int) -> None:
-    """Screen one seeded random digraph for all four constructive-lemma setups."""
-    rng = SplitMix64(derived_seed(spec.seed, ordinal))
-    n = 3 + rng.next() % (spec.n - 2)  # orders 3..spec.n
-    arc_bits = rng.next()
-    rows = [0] * n
-    bit = 0
-    for u in range(n):
-        for v in range(n):
-            if v != u:
-                rows[u] |= (arc_bits >> bit & 1) << v
-                bit += 1
-    if strong_rows(n, rows):
-        tally.strong += 1
-    draws = {
-        "external_cycles": (2 + rng.next() % (n - 2), rng.next()),
-        "insertion": (2 + rng.next() % (n - 2), rng.next()),
-        "absorption": (2 + rng.next() % (n - 2), rng.next()),
-        "merge": (2 + rng.next() % (n - 2), rng.next()),
-    }
+def _lemma_inputs(
+    seed: int, top: int, ordinals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Orders, rows, strong flags and lemma draws of a block of lemma samples.
+
+    Sample j reads ten draws from the splitmix64 stream seeded with
+    ``derived_seed(seed, j)``: its order 3..top, its arc bits (row-major over
+    ordered pairs, as ``scan.decode_rows`` maps them), then a (length,
+    chooser) pair for each lemma in ``_LEMMA_KEYS`` order.  The length is
+    reduced to 2..order-1 and the chooser modulo order - length, the number
+    of vertices off a cycle or path of that length, which is all a lemma
+    uses it for.  Returns orders (B,), rows (B, top) zero-padded past each
+    sample's order, strong flags (B,) and the pairs (8, B).  Everything but
+    the flags is uint8 (orders are at most 8), and no array holds more than
+    one uint64 per sample.
+    """
+    state = scan.seeds_for(seed, ordinals)
+    out = np.empty_like(state)
+    scratch = np.empty_like(state)
+
+    def draw() -> np.ndarray:
+        np.add(state, scan.GAMMA_U, out=state)
+        return scan.mix_vec(state, out, scratch)
+
+    orders = (draw() % np.uint64(top - 2)).astype(np.uint8) + np.uint8(3)
+    arcs = draw().copy()
+    pairs = np.empty((8, ordinals.size), dtype=np.uint8)
+    for k in range(0, 8, 2):
+        pairs[k] = draw() % (orders - np.uint8(2)) + np.uint64(2)
+        pairs[k + 1] = draw() % (orders - pairs[k])
+    rows = np.zeros((ordinals.size, top), dtype=np.uint8)
+    strong = np.zeros(ordinals.size, dtype=bool)
+    for n in range(3, top + 1):
+        picked = np.flatnonzero(orders == n)
+        block = scan.decode_rows(n, arcs[picked])
+        rows[picked, :n] = block
+        strong[picked] = scan.strong_flags(n, block)
+    return orders, rows, strong, pairs
+
+
+def _lemma_sample(
+    spec: CampaignSpec,
+    tally: _Tally,
+    ordinal: int,
+    n: int,
+    rows: list[int],
+    draws: list[int],
+) -> None:
+    """Check one random digraph against all four constructive-lemma setups.
+
+    ``draws`` holds a (length, chooser) pair per lemma, in ``_LEMMA_KEYS``
+    order (see ``_lemma_inputs``).
+    """
     d: Optional[Digraph] = None
 
     def materialize() -> Digraph:
@@ -931,14 +1002,14 @@ def _lemma_sample(spec: CampaignSpec, tally: _Tally, ordinal: int) -> None:
         tally.detail[kind]["hits"] += 1
 
     # cycles through an external vertex
-    length, chooser = draws["external_cycles"]
+    length, chooser = draws[0], draws[1]
     cycle = find_cycle_rows(n, rows, length)
     if cycle is not None:
         cmask = 0
         for v in cycle:
             cmask |= 1 << v
         outside = [v for v in range(n) if not cmask >> v & 1]
-        x = outside[chooser % len(outside)]
+        x = outside[chooser]
         toward = (rows[x] & cmask).bit_count() + sum(rows[c] >> x & 1 for c in cycle)
         if toward >= length + 1:
             hit("external_cycles")
@@ -956,14 +1027,14 @@ def _lemma_sample(spec: CampaignSpec, tally: _Tally, ordinal: int) -> None:
                 fail("external_cycles", {"cycle": list(cycle), "x": x, "error": str(exc)})
 
     # single-vertex insertion into a path
-    length, chooser = draws["insertion"]
+    length, chooser = draws[2], draws[3]
     path = find_path_rows(n, rows, length)
     if path is not None:
         pmask = 0
         for v in path:
             pmask |= 1 << v
         outside = [v for v in range(n) if not pmask >> v & 1]
-        x = outside[chooser % len(outside)]
+        x = outside[chooser]
         toward = (rows[x] & pmask).bit_count() + sum(rows[p] >> x & 1 for p in path)
         to_first = rows[x] >> path[0] & 1
         from_last = rows[path[-1]] >> x & 1
@@ -994,14 +1065,14 @@ def _lemma_sample(spec: CampaignSpec, tally: _Tally, ordinal: int) -> None:
                     fail("insertion", {"path": list(path), "x": x, "error": str(exc)})
 
     # absorbing a disjoint path into a cycle
-    length, chooser = draws["absorption"]
+    length, chooser = draws[4], draws[5]
     cycle = find_cycle_rows(n, rows, length)
     if cycle is not None:
         cmask = 0
         for v in cycle:
             cmask |= 1 << v
         pool = ((1 << n) - 1) & ~cmask
-        r = 1 + chooser % (n - length)
+        r = 1 + chooser
         q = find_path_rows(n, rows, r, pool)
         if q is not None:
             head_in = sum(rows[c] >> q[0] & 1 for c in cycle)
@@ -1028,14 +1099,14 @@ def _lemma_sample(spec: CampaignSpec, tally: _Tally, ordinal: int) -> None:
                     )
 
     # merging two disjoint paths endpoint-to-endpoint
-    length, chooser = draws["merge"]
+    length, chooser = draws[6], draws[7]
     path = find_path_rows(n, rows, length)
     if path is not None:
         pmask = 0
         for v in path:
             pmask |= 1 << v
         pool = ((1 << n) - 1) & ~pmask
-        r = 1 + chooser % (n - length)
+        r = 1 + chooser
         q = find_path_rows(n, rows, r, pool)
         if q is not None:
             head_in = sum(rows[p] >> q[0] & 1 for p in path)
@@ -1119,29 +1190,7 @@ def _shard_worker(args: tuple[dict[str, Any], Optional[str], bool]) -> dict[str,
     spec = CampaignSpec.from_json(spec_json)
     if checkpoint_path:
         spec = replace(spec, checkpoint_path=checkpoint_path)
-    result = run_campaign(spec, allow_long=allow_long)
-    payload = result.to_json()
-    payload["_spec"] = spec_json
-    return payload
-
-
-def _result_from_payload(payload: dict[str, Any]) -> CampaignResult:
-    spec = CampaignSpec.from_json(payload["_spec"])
-    return CampaignResult(
-        spec=spec,
-        scanned=payload["scanned"],
-        strong=payload["strong"],
-        hypothesis_hits=payload["hypothesis_hits"],
-        verified=payload["verified"],
-        counterexamples=tuple(
-            Counterexample.from_json(c) for c in payload["counterexamples"]
-        ),
-        exceptions=tuple(ExceptionClass.from_json(e) for e in payload["exceptions"]),
-        detail=payload["detail"],
-        cursor=None if payload["complete"] else payload["cursor"],
-        complete=payload["complete"],
-        elapsed_ms=payload["elapsed_ms"],
-    )
+    return run_campaign(spec, allow_long=allow_long).to_json()
 
 
 def run_sharded(
@@ -1168,4 +1217,4 @@ def run_sharded(
     else:
         with multiprocessing.get_context("fork").Pool(min(jobs, spec.shards)) as pool:
             payloads = pool.map(_shard_worker, work)
-    return merge_results([_result_from_payload(p) for p in payloads])
+    return merge_results([CampaignResult.from_json(p) for p in payloads])

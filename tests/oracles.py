@@ -148,3 +148,95 @@ def oracle_triple_flags(n: int, rows: np.ndarray, slack: int) -> np.ndarray:
                 ok &= ~(nonadj & ~arc[x][z] & (base + out_deg[x] + in_deg[z] < bound))
                 ok &= ~(nonadj & ~arc[z][x] & (base + in_deg[x] + out_deg[z] < bound))
     return ok
+
+
+def _first_sequence(pool: int, length: int, valid) -> Optional[tuple[int, ...]]:
+    """First sequence of ``length`` distinct vertices of ``pool``, in
+    lexicographic order, that ``valid`` accepts."""
+    vertices = [v for v in range(pool.bit_length()) if pool >> v & 1]
+    if length < 1:
+        return None
+    for order in permutations(vertices, length):
+        if valid(order):
+            return order
+    return None
+
+
+def _is_path(rows: list[int], order: tuple[int, ...]) -> bool:
+    return all(rows[order[i]] >> order[i + 1] & 1 for i in range(len(order) - 1))
+
+
+def oracle_first_cycle(rows: list[int], length: int, pool: int) -> Optional[tuple[int, ...]]:
+    """Lexicographically least cycle on ``length`` vertices of ``pool``, started
+    at its minimum vertex (the first valid sequence among the permutations)."""
+    if length < 2:
+        return None
+    return _first_sequence(
+        pool,
+        length,
+        lambda order: order[0] == min(order)
+        and _is_path(rows, order)
+        and rows[order[-1]] >> order[0] & 1,
+    )
+
+
+def oracle_first_path(rows: list[int], length: int, pool: int) -> Optional[tuple[int, ...]]:
+    """Lexicographically least directed path on ``length`` vertices of ``pool``."""
+    return _first_sequence(pool, length, lambda order: _is_path(rows, order))
+
+
+def oracle_first_bypass(rows: list[int]) -> Optional[tuple[int, ...]]:
+    """Lexicographically least spanning path whose first vertex sends an arc to its last."""
+    n = len(rows)
+    return _first_sequence(
+        (1 << n) - 1, n, lambda order: _is_path(rows, order) and rows[order[0]] >> order[-1] & 1
+    )
+
+
+def oracle_first_cover_path(
+    rows: list[int], start: int, goal: int, pool: int
+) -> Optional[tuple[int, ...]]:
+    """Lexicographically least path from start to goal visiting exactly ``pool``."""
+    return _first_sequence(
+        pool,
+        pool.bit_count(),
+        lambda order: order[0] == start and order[-1] == goal and _is_path(rows, order),
+    )
+
+
+def _splitmix64(state: int) -> tuple[int, int]:
+    """One splitmix64 step: (new state, output)."""
+    state = (state + 0x9E3779B97F4A7C15) & (1 << 64) - 1
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & (1 << 64) - 1
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & (1 << 64) - 1
+    return state, z ^ (z >> 31)
+
+
+def oracle_lemma_inputs(seed: int, top: int, ordinal: int) -> tuple[int, list[int], list[int]]:
+    """Scalar derivation of one lemma sample: (order, rows, [length, chooser] x 4).
+
+    The sample's stream is seeded with the splitmix64 hash of
+    seed + (ordinal + 1)·γ.  Its draws are the order (3..top), the arc bits
+    (bit i is the i-th ordered pair (u, v), u != v, in row-major order) and a
+    (length, chooser) pair per lemma, each length reduced to 2..order-1 and
+    each chooser modulo order - length.
+    """
+    _, state = _splitmix64((seed + ordinal * 0x9E3779B97F4A7C15) & (1 << 64) - 1)
+    draws = []
+    for _ in range(10):
+        state, out = _splitmix64(state)
+        draws.append(out)
+    n = 3 + draws[0] % (top - 2)
+    rows = [0] * n
+    bit = 0
+    for u in range(n):
+        for v in range(n):
+            if v != u:
+                rows[u] |= (draws[1] >> bit & 1) << v
+                bit += 1
+    pairs = draws[2:]
+    for k in range(0, 8, 2):
+        pairs[k] = 2 + pairs[k] % (n - 2)
+        pairs[k + 1] %= n - pairs[k]
+    return n, rows, pairs

@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 from conftest import dense_digraphs, digraphs
 from hamlab.cycles import (
     Bypass,
+    _cover_path_rows,
     absorb_path_into_cycle,
     cycle_spectrum,
     cycles_from_external_vertex,
     extend_maximally,
     find_c_bypass,
     find_cycle_of_length,
+    find_cycle_rows,
+    find_path_rows,
     hamiltonian_bypass,
+    hamiltonian_bypass_rows,
     hamiltonian_cycle,
     insert_vertex,
     longest_non_hamiltonian_cycle,
@@ -34,8 +38,17 @@ from hamlab.generators import (
     gen_kstar,
     gen_kstar_minus_arc,
     gen_two_cliques,
+    rows_from_index,
 )
-from oracles import oracle_cycle_of_length, oracle_hamiltonian_bypass, oracle_spectrum
+from oracles import (
+    oracle_cycle_of_length,
+    oracle_first_bypass,
+    oracle_first_cover_path,
+    oracle_first_cycle,
+    oracle_first_path,
+    oracle_hamiltonian_bypass,
+    oracle_spectrum,
+)
 
 
 def complete_digraph(n: int) -> Digraph:
@@ -214,6 +227,34 @@ def test_find_cycle_matches_brute_force(d: Digraph):
         assert (ours is None) == (brute is None)
         if ours is not None:
             ours.validate(d)
+
+
+def _assert_lex_first_witnesses(n: int, rows: list[int], pools, start_goals) -> None:
+    """Every search kernel returns the oracle's lexicographically least witness."""
+    for pool in pools:
+        for length in range(n + 2):
+            assert find_cycle_rows(n, rows, length, pool) == oracle_first_cycle(rows, length, pool)
+            assert find_path_rows(n, rows, length, pool) == oracle_first_path(rows, length, pool)
+        for start, goal in start_goals:
+            want = oracle_first_cover_path(rows, start, goal, pool)
+            assert _cover_path_rows(rows, start, goal, pool) == want
+    want = oracle_first_bypass(rows)
+    got = hamiltonian_bypass_rows(n, rows)
+    assert got == (None if want is None else (want, (want[0], want[-1])))
+
+
+def test_search_kernels_give_lex_first_witness_over_full_order4_space():
+    start_goals = [(start, goal) for start in range(4) for goal in range(4)]
+    for index in range(1 << 12):
+        _assert_lex_first_witnesses(4, rows_from_index(4, index), range(16), start_goals)
+
+
+@given(digraphs(min_n=1, max_n=7), st.data())
+def test_search_kernels_give_lex_first_witness(d: Digraph, data):
+    pool = data.draw(st.integers(min_value=0, max_value=d.full_mask), label="pool")
+    start = data.draw(st.integers(min_value=0, max_value=d.n - 1), label="start")
+    goal = data.draw(st.integers(min_value=0, max_value=d.n - 1), label="goal")
+    _assert_lex_first_witnesses(d.n, list(d.out), [d.full_mask, pool], [(start, goal)])
 
 
 @given(digraphs(min_n=2))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import digraphs
+from oracles import oracle_lemma_inputs
 from hamlab import harness, scan
 from hamlab.conditions import holds_a_k_rows
 from hamlab.cycles import cycle_spectrum, hamiltonian_bypass, hamiltonian_cycle
@@ -373,13 +374,43 @@ def test_sampled_campaign_seed_changes_stream():
 def test_lemma_suite_campaign_counts_every_lemma():
     res = run_campaign(CampaignSpec(claim="lemma_suite", n=8, mode="sample", samples=3000, seed=5))
     assert res.scanned == 3000
-    assert set(res.detail) == {"external_cycles", "insertion", "absorption", "merge"}
-    for sub in res.detail.values():
-        assert sub["hits"] > 0
-        assert sub["successes"] == sub["hits"]
+    # frozen: which cycle or path each search returns decides what is tested
+    assert res.strong == 1768
+    assert res.detail == {
+        "external_cycles": {"hits": 552, "successes": 552},
+        "insertion": {"hits": 658, "successes": 658},
+        "absorption": {"hits": 468, "successes": 468},
+        "merge": {"hits": 528, "successes": 528},
+    }
     assert res.counterexamples == ()
-    assert res.hypothesis_hits == sum(s["hits"] for s in res.detail.values())
-    assert res.verified == res.hypothesis_hits
+    assert res.hypothesis_hits == res.verified == 2206
+
+
+@pytest.mark.parametrize("seed", [0, 0x9E3779B97F4A7C15])
+def test_lemma_inputs_match_scalar_stream(seed):
+    ordinals = np.arange(4096, dtype=np.uint64)
+    for top in range(3, 9):
+        orders, rows, strong, pairs = harness._lemma_inputs(seed, top, ordinals)
+        for j in range(ordinals.size):
+            n, want_rows, want_pairs = oracle_lemma_inputs(seed, top, j)
+            assert orders[j] == n
+            assert rows[j].tolist() == want_rows + [0] * (top - n)
+            assert strong[j] == strong_rows(n, want_rows)
+            assert pairs[:, j].tolist() == want_pairs
+
+
+def test_flipped_lemma_strong_flag_is_caught(monkeypatch):
+    true_flags = scan.strong_flags
+
+    def flip_first(n, rows):
+        flags = true_flags(n, rows)
+        flags[0] = not flags[0]
+        return flags
+
+    monkeypatch.setattr(scan, "strong_flags", flip_first)
+    spec = CampaignSpec(claim="lemma_suite", n=8, mode="sample", samples=300, seed=5)
+    with pytest.raises(RuntimeError, match="strong screens disagree"):
+        run_campaign(spec)
 
 
 # --- sharding and merging ---------------------------------------------------------------
@@ -605,6 +636,22 @@ def test_result_json_contract_keys():
         "exceptions", "detail", "cursor", "complete", "elapsed_ms",
     }
     assert data["claim"] == "thm15" and data["complete"] is True
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CampaignSpec(claim="thm15", n=4, shard=1, shards=3),
+        CampaignSpec(claim="bypass_claim", n=5),
+        CampaignSpec(claim="conj19", n=6, mode="sample", samples=5000, arc_prob=0.5, seed=1),
+    ],
+    ids=["exhaustive", "tournament", "sampled"],
+)
+def test_partial_result_json_roundtrip(spec):
+    partial = run_campaign(spec, stop_after=1000)
+    assert not partial.complete and partial.hypothesis_hits
+    again = harness.CampaignResult.from_json(json.loads(json.dumps(partial.to_json())))
+    assert again == partial
 
 
 def test_partial_result_cursor_shapes(tmp_path):
