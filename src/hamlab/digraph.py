@@ -357,24 +357,11 @@ class CycleWitness:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    @classmethod
-    def from_vertices(cls, vs: Sequence[int]) -> "CycleWitness":
-        """Canonicalize an arbitrary rotation of a cycle's vertex sequence."""
-        vs = tuple(vs)
-        if not vs:
-            raise GraphError("empty cycle witness")
-        k = vs.index(min(vs))
-        return cls(vs[k:] + vs[:k])
-
     def mask(self) -> int:
         m = 0
         for v in self.vertices:
             m |= 1 << v
         return m
-
-    def successor(self, v: int) -> int:
-        i = self.vertices.index(v)
-        return self.vertices[(i + 1) % len(self.vertices)]
 
     def gap(self, entry: int, exit_: int) -> int:
         """Cyclic distance from entry to exit walking along the cycle."""

@@ -1,14 +1,14 @@
 """Vectorized block kernels for bulk screening of digraph spaces.
 
 The verification harness owes its throughput to these routines: whole blocks
-of labeled-space indices (or whole blocks of random samples) are decoded and
-screened with numpy, and the digraphs that survive the cheap filters (strong
-connectivity, the triple degree-sum condition) are re-confirmed and judged a
-block at a time by the hit-block kernels below.  Every kernel mirrors a
-scalar routine bit for bit — the test suite holds the two routes equal over
-full labeled spaces — and the harness still sends each block's first hit and
-every negative verdict through the scalar route, so the fast path never
-becomes the only authority.
+of labeled-space or tournament indices (``decode_rows``, ``tournament_rows``)
+or of random samples are decoded and screened with numpy, and the digraphs
+that survive the cheap filters (strong connectivity, the triple degree-sum
+condition) are re-confirmed and judged a block at a time by the hit-block
+kernels below.  Every kernel mirrors a scalar routine bit for bit — the test
+suite holds the two routes equal over full labeled spaces — and the harness
+still sends each block's first hit and every negative verdict through the
+scalar route, so the fast path never becomes the only authority.
 
 All row blocks are ``(B, n)`` uint64 arrays of out-adjacency bitmasks, the
 same encoding the scalar modules use.  The screens make O(n) or O(n²)
@@ -28,6 +28,8 @@ The hit-block kernels cover orders up to ``HIT_MAX_N``:
   condition), so a defect in a screen has to be made twice to slip through;
 - ``cycle_lengths`` gives every cycle length of each row from one Held–Karp
   pass over (subset, endpoint);
+- ``bypass_flags`` finds a Hamiltonian bypass (a spanning path whose first
+  vertex beats its last) by the same pass rooted at each start vertex;
 - ``lemma35_flags`` is the paired low-degree property.
 """
 
@@ -112,6 +114,23 @@ def decode_rows(n: int, indices: np.ndarray) -> np.ndarray:
     for u in range(n):
         chunks = (indices >> _SH[u * (n - 1)]) & chunk_mask
         rows[:, u] = tables[u][chunks]
+    return rows
+
+
+def tournament_rows(n: int, indices: np.ndarray) -> np.ndarray:
+    """Decode tournament indices into row blocks.
+
+    Bit j of an index clear means u→v for the j-th pair u < v in row-major
+    order, set means v→u, as in ``generators.tournament_rows_from_index``.
+    """
+    rows = np.zeros((indices.shape[0], n), dtype=np.uint64)
+    j = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            back = (indices >> _SH[j]) & ONE
+            rows[:, v] |= back << _SH[u]
+            rows[:, u] |= (back ^ ONE) << _SH[v]
+            j += 1
     return rows
 
 
@@ -248,10 +267,15 @@ def _arc_matrix(n: int, rows: np.ndarray) -> np.ndarray:
     Up to ``HIT_MAX_N`` a row fits in one byte, so the bits unpack straight
     to one byte per entry.
     """
+    bits = np.unpackbits(_row_bytes(n, rows)[:, :, None], axis=2, bitorder="little")
+    return bits[:, :, :n].view(bool)
+
+
+def _row_bytes(n: int, rows: np.ndarray) -> np.ndarray:
+    """The rows as uint8, which holds a whole row up to ``HIT_MAX_N``."""
     if n > HIT_MAX_N:
         raise ValueError(f"hit-block kernels cover orders up to {HIT_MAX_N}, got {n}")
-    bits = np.unpackbits(rows.astype(np.uint8)[:, :, None], axis=2, bitorder="little")
-    return bits[:, :, :n].view(bool)
+    return rows.astype(np.uint8)
 
 
 def confirm_flags(n: int, rows: np.ndarray, slack: int) -> np.ndarray:
@@ -278,7 +302,10 @@ def confirm_flags(n: int, rows: np.ndarray, slack: int) -> np.ndarray:
         no_xz = ~arcs[:, x, :]  # (B, z)
         no_zx = ~arcs[:, :, x]
         nonadj = no_xz & no_zx  # (B, y)
-        nonadj[:, x] = no_xz[:, x] = no_zx[:, x] = False
+        nonadj[:, x] = False
+        if not nonadj.any():
+            continue  # no clause for x in the block: ``low`` would be all False
+        no_xz[:, x] = no_zx[:, x] = False
         pair = (deg[:, x, None] + deg)[:, :, None]  # d(x) + d(y), (B, y, 1)
         via_xz = (out_deg[:, x, None] + in_deg)[:, None, :]  # d⁺(x) + d⁻(z), (B, 1, z)
         via_zx = (in_deg[:, x, None] + out_deg)[:, None, :]  # d⁻(x) + d⁺(z)
@@ -312,6 +339,49 @@ def _held_karp_layers(n: int) -> tuple:
     return tuple(layers)
 
 
+@lru_cache(maxsize=None)
+def _rooted_layers(n: int) -> tuple:
+    """The layers of ``_held_karp_layers`` restricted to subsets holding vertex 0.
+
+    Vertex 0 is the minimum, so the root, of each of them.  Subsets and their
+    predecessors are indexed by ``subset >> 1`` (bit 0 is always set), so an
+    endpoint table over them has 2^(n-1) entries.  Each layer is (subsets,
+    steps), with steps as in ``_held_karp_layers``.
+    """
+    layers = []
+    for _, subsets, roots, steps in _held_karp_layers(n):
+        keep = roots == 0
+        kept = [(w[keep], prev[keep] >> 1, bit[keep]) for w, prev, bit in steps]
+        layers.append((subsets[keep] >> 1, kept))
+    return tuple(layers)
+
+
+def _in_masks(n: int, small: np.ndarray) -> np.ndarray:
+    """(n, B) uint8 in-neighbour masks of uint8 rows: bit v of ``[w]`` set when v→w."""
+    heads = np.arange(n, dtype=np.uint8)[:, None]
+    into = np.zeros((n, small.shape[0]), dtype=np.uint8)
+    for v in range(n):
+        into |= ((small[:, v] >> heads) & 1) << v
+    return into
+
+
+def _extend(ends: np.ndarray, into: np.ndarray, steps: list, width: int) -> np.ndarray:
+    """Endpoint sets of one Held–Karp layer of ``width`` subsets.
+
+    w joins the set of subset S when some endpoint of S minus w has an arc
+    into w; ``steps`` pair each S with its predecessors (see
+    ``_held_karp_layers``), and ``ends`` holds the layers below.
+    """
+    layer = np.zeros((width, ends.shape[1]), dtype=np.uint8)
+    for w, prev, bit in steps:
+        step = ends[prev]
+        step &= into[w]
+        np.minimum(step, 1, out=step)
+        step *= bit
+        layer |= step
+    return layer
+
+
 def cycle_lengths(n: int, rows: np.ndarray) -> np.ndarray:
     """Per row, the bitmask of the cycle lengths present (bit k: a k-cycle).
 
@@ -322,31 +392,52 @@ def cycle_lengths(n: int, rows: np.ndarray) -> np.ndarray:
     endpoint has an arc back into min(S).  Every cycle is found once, from
     its minimum vertex.  In-neighbour masks are built once per block.
     """
-    if n > HIT_MAX_N:
-        raise ValueError(f"cycle_lengths covers orders up to {HIT_MAX_N}, got {n}")
     count = rows.shape[0]
-    # into[w]: bit v set when v→w
-    small = rows.astype(np.uint8)
-    heads = np.arange(n, dtype=np.uint8)[:, None]
-    into = np.zeros((n, count), dtype=np.uint8)
-    for v in range(n):
-        into |= ((small[:, v] >> heads) & 1) << v
+    into = _in_masks(n, _row_bytes(n, rows))
     ends = np.zeros((1 << n, count), dtype=np.uint8)
     for r in range(n):
         ends[1 << r] = 1 << r
     lengths = np.zeros(count, dtype=np.uint16)
     for size, subsets, roots, steps in _held_karp_layers(n):
-        layer = np.zeros((subsets.size, count), dtype=np.uint8)
-        for w, prev, bit in steps:
-            step = ends[prev]
-            step &= into[w]
-            np.minimum(step, 1, out=step)
-            step *= bit
-            layer |= step
+        layer = _extend(ends, into, steps, subsets.size)
         ends[subsets] = layer
         layer &= into[roots]
         lengths[layer.any(axis=0)] |= np.uint16(1 << size)
     return lengths
+
+
+def bypass_flags(n: int, rows: np.ndarray) -> np.ndarray:
+    """Boolean mask of rows with a Hamiltonian bypass: a spanning path whose
+    first vertex s also has an arc to its last vertex v.
+
+    Held–Karp over (start, subset, endpoint).  For start s the labels 0 and s
+    are swapped, so the paths from s are the ones rooted at vertex 0 over the
+    subsets holding it (``_rooted_layers``); the row has a bypass from s when
+    some endpoint over the full vertex set is an out-neighbour of s.  A row
+    leaves the block at the first start that gives it a bypass.
+    """
+    count = rows.shape[0]
+    small = _row_bytes(n, rows)
+    found = np.zeros(count, dtype=bool)
+    live = np.arange(count)
+    for s in range(n):
+        if not live.size:
+            break
+        order = np.arange(n)
+        order[[0, s]] = s, 0
+        swapped = small[:, order]
+        flip = (swapped ^ (swapped >> s)) & 1  # bit 0 differs from bit s
+        swapped ^= flip | (flip << s)
+        into = _in_masks(n, swapped)
+        ends = np.zeros((1 << (n - 1), live.size), dtype=np.uint8)
+        ends[0] = 1
+        for subsets, steps in _rooted_layers(n):
+            ends[subsets] = _extend(ends, into, steps, subsets.size)
+        has = (ends[-1] & swapped[:, 0]) != 0
+        found[live[has]] = True
+        live = live[~has]
+        small = small[~has]
+    return found
 
 
 def lemma35_flags(n: int, rows: np.ndarray) -> np.ndarray:

@@ -76,7 +76,7 @@ def test_spec_fingerprint_ignores_checkpoint_path():
 
 def test_spec_json_roundtrip():
     spec = CampaignSpec(claim="conj19", n=6, mode="sample", samples=100, arc_prob=0.3, seed=9)
-    again = CampaignSpec.from_json(spec.to_json())
+    again = CampaignSpec.from_json(spec.identity())
     assert again == spec
 
 
@@ -84,7 +84,7 @@ def test_spec_json_roundtrip():
     "key", ["claim", "n", "mode", "shard", "shards", "samples", "arc_prob", "seed"]
 )
 def test_spec_from_json_requires_every_identity_key(key):
-    data = CampaignSpec(claim="thm15", n=5).to_json()
+    data = CampaignSpec(claim="thm15", n=5).identity()
     del data[key]
     with pytest.raises(CampaignError, match=key):
         CampaignSpec.from_json(data)
@@ -331,7 +331,41 @@ def test_sampled_bypass_claim_frozen_counts():
     assert hamiltonian_bypass(parse(res.exceptions[0].digraph)) is None
 
 
-@pytest.mark.parametrize("claim", ["bypass_claim", "lemma_suite"])
+def test_bypass_campaign_n6_frozen_counts():
+    res = run_campaign(CampaignSpec(claim="bypass_claim", n=6))
+    assert res.scanned == 32_768
+    assert res.strong == res.hypothesis_hits == res.verified == 22_320
+    assert res.counterexamples == () and res.exceptions == ()
+    assert res.detail == {"exception_members": 0}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CampaignSpec(claim="bypass_claim", n=6),
+        CampaignSpec(claim="bypass_claim", n=6, mode="sample", samples=2000, seed=3),
+    ],
+    ids=["exhaustive", "sampled"],
+)
+def test_flipped_bypass_verdict_is_caught(monkeypatch, spec):
+    def flip(n, out):
+        out[-1] = ~out[-1]
+
+    _mutate(monkeypatch, "bypass_flags", flip)
+    with pytest.raises(RuntimeError, match="conclusion judges disagree"):
+        run_campaign(spec)
+
+
+def test_tournament_decode_is_spot_checked(monkeypatch):
+    def reverse_first_pair(n, out):
+        out[0, :2] ^= np.array([2, 1], dtype=np.uint64)
+
+    _mutate(monkeypatch, "tournament_rows", reverse_first_pair)
+    with pytest.raises(RuntimeError, match="tournament decodes disagree"):
+        run_campaign(CampaignSpec(claim="bypass_claim", n=5))
+
+
+@pytest.mark.parametrize("claim", ["lemma_suite"])
 def test_hit_judges_reject_claims_they_do_not_judge(claim):
     rows = np.zeros((1, 5), dtype=np.uint64)
     with pytest.raises(CampaignError, match="no conclusion judge"):
@@ -341,16 +375,24 @@ def test_hit_judges_reject_claims_they_do_not_judge(claim):
 
 
 def test_tournament_hits_confirmed_once(monkeypatch):
-    calls = {"holds": 0}
-    original = harness.holds_a_k_rows
+    # the scalar route takes the block's first hit and the 40 members
+    # without a bypass; the vector judge settles the other 503 hits
+    calls = {"holds_a_k_rows": 0, "hamiltonian_bypass_rows": 0}
 
-    def counted(*args):
-        calls["holds"] += 1
-        return original(*args)
+    def counting(name):
+        original = getattr(harness, name)
 
-    monkeypatch.setattr(harness, "holds_a_k_rows", counted)
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+
+    for name in calls:
+        counting(name)
     res = run_campaign(CampaignSpec(claim="bypass_claim", n=5))
-    assert calls["holds"] == res.strong == 544
+    assert res.strong == res.hypothesis_hits == 544
+    assert calls == {"holds_a_k_rows": 41, "hamiltonian_bypass_rows": 41}
 
 
 # --- sampling ------------------------------------------------------------------------

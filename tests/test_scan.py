@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from hamlab import scan
 from hamlab.conditions import holds_a_k_rows, lemma35_rows
-from hamlab.cycles import find_cycle_rows
+from hamlab.cycles import find_cycle_rows, hamiltonian_bypass_rows
 from hamlab.digraph import strong_rows
 from hamlab.generators import (
     GiveUpError,
     derived_seed,
     mix64,
     random_strong_rows,
+    tournament_rows_from_index,
 )
 
 from oracles import oracle_triple_flags
@@ -172,12 +173,49 @@ def test_hit_kernels_match_scalar_on_random_blocks(block, slack: int):
         assert bool(paired[i]) == lemma35_rows(n, row)
 
 
-@pytest.mark.parametrize("kernel", ["confirm_flags", "cycle_lengths", "lemma35_flags"])
+@pytest.mark.parametrize(
+    "kernel", ["confirm_flags", "cycle_lengths", "lemma35_flags", "bypass_flags"]
+)
 def test_hit_kernels_order_capped(kernel):
     n = scan.HIT_MAX_N + 1
     args = (0,) if kernel == "confirm_flags" else ()
     with pytest.raises(ValueError):
         getattr(scan, kernel)(n, np.zeros((1, n), dtype=np.uint64), *args)
+
+
+# --- tournament decode and bypass judge vs their scalar twins ----------------------
+
+
+@pytest.mark.parametrize(
+    "n, stride", [(5, 1), (6, 1), (7, 97), (8, 12_289)], ids=["5-all", "6-all", "7", "8"]
+)
+def test_tournament_rows_match_scalar_decode(n: int, stride: int):
+    indices = np.arange(0, 1 << n * (n - 1) // 2, stride, dtype=np.uint64)
+    if stride > 1:  # the all-ones index too: every pair reversed
+        indices = np.append(indices, np.uint64((1 << n * (n - 1) // 2) - 1))
+    rows = scan.tournament_rows(n, indices)
+    assert rows.dtype == np.uint64 and rows.shape == (indices.size, n)
+    assert rows.tolist() == [tournament_rows_from_index(n, i) for i in indices.tolist()]
+
+
+@pytest.mark.parametrize("n, strong, exceptions", [(5, 544, 40), (6, 22_320, 0)])
+def test_bypass_flags_match_scalar_over_strong_tournaments(n: int, strong: int, exceptions: int):
+    rows = scan.tournament_rows(n, np.arange(1 << n * (n - 1) // 2, dtype=np.uint64))
+    rows = rows[scan.strong_flags(n, rows)]
+    assert rows.shape[0] == strong
+    flags = scan.bypass_flags(n, rows)
+    expected = [hamiltonian_bypass_rows(n, row) is not None for row in rows.tolist()]
+    assert flags.tolist() == expected
+    assert int((~flags).sum()) == exceptions
+
+
+@given(row_blocks(min_n=3, max_n=8))
+def test_bypass_flags_match_scalar_on_random_blocks(block):
+    n, rows = block
+    flags = scan.bypass_flags(n, rows)
+    assert flags.shape == (rows.shape[0],)
+    for i, row in enumerate(rows.tolist()):
+        assert bool(flags[i]) == (hamiltonian_bypass_rows(n, row) is not None)
 
 
 @pytest.mark.parametrize("arc_prob", [0.3, 0.5, 0.9])
