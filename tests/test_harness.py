@@ -13,10 +13,18 @@ from hypothesis import strategies as st
 
 from conftest import digraphs
 from oracles import oracle_lemma_inputs
-from hamlab import harness, scan
+from hamlab import cycles, harness, scan
 from hamlab.conditions import holds_a_k_rows
-from hamlab.cycles import cycle_spectrum, hamiltonian_bypass, hamiltonian_cycle
-from hamlab.digraph import Digraph, is_strong, parse, serialize, strong_rows
+from hamlab.cycles import cycle_spectrum, find_cycle_rows, hamiltonian_bypass, hamiltonian_cycle
+from hamlab.digraph import (
+    CycleWitness,
+    Digraph,
+    PathWitness,
+    is_strong,
+    parse,
+    serialize,
+    strong_rows,
+)
 from hamlab.generators import (
     derived_seed,
     enum_bits,
@@ -426,6 +434,52 @@ def test_lemma_suite_campaign_counts_every_lemma():
     }
     assert res.counterexamples == ()
     assert res.hypothesis_hits == res.verified == 2206
+
+
+def _escaping_cycles(d, c, q):
+    # a cycle of every promised length, searched over the whole digraph
+    # rather than inside V(C) + V(Q)
+    r = len(q)
+    return {
+        length: CycleWitness(find_cycle_rows(d.n, d.out, length))
+        for length in range(r + 1, len(c) + r + 1)
+    }
+
+
+def _reversed_merge(d, p, q):
+    return PathWitness(tuple(reversed(cycles.merge_path(d, p, q).vertices)))
+
+
+_LEMMA_DETAIL_KEYS = ["claim", "lemma", "sample", "stream_seed"]
+
+
+@pytest.mark.parametrize(
+    "kind, name, broken, keys",
+    [
+        ("insertion", "insert_vertex", lambda d, p, x: None, ["path", "x"]),
+        ("external_cycles", "cycles_from_external_vertex", lambda d, c, x: {}, ["cycle", "x"]),
+        ("absorption", "absorb_path_into_cycle", _escaping_cycles, ["cycle", "path"]),
+        ("merge", "merge_path", _reversed_merge, ["path", "other"]),
+    ],
+    ids=["insertion", "external_cycles", "absorption", "merge"],
+)
+def test_broken_lemma_operation_becomes_counterexample(monkeypatch, kind, name, broken, keys):
+    monkeypatch.setattr(harness, name, broken)
+    res = run_campaign(CampaignSpec(claim="lemma_suite", n=7, mode="sample", samples=600, seed=5))
+    assert res.scanned == 600
+    assert {c.detail["lemma"] for c in res.counterexamples} == {kind}
+    tally = res.detail[kind]
+    assert tally["hits"] - tally["successes"] == len(res.counterexamples) > 0
+    assert res.hypothesis_hits - res.verified == len(res.counterexamples)
+    for c in res.counterexamples:
+        assert list(c.detail) == _LEMMA_DETAIL_KEYS + keys + ["error"]
+        assert c.detail["claim"] == "lemma_suite"
+        assert c.detail["stream_seed"] == derived_seed(5, c.detail["sample"])
+        assert c.index == c.detail["sample"]
+    if kind == "absorption":  # only some escaping cycles leave the pool
+        assert tally["successes"] > 0
+    else:
+        assert tally["successes"] == 0
 
 
 @pytest.mark.parametrize("seed", [0, 0x9E3779B97F4A7C15])
