@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Print one sha256 per campaign of a fixed set, to check results bit for bit.
+
+Usage:
+    PYTHONPATH=src python3 scripts/result_hashes.py > hashes.txt
+
+Each hash covers a campaign's result JSON without ``elapsed_ms`` plus its
+final checkpoint without ``elapsed_ms``, so it changes whenever a count, a
+counterexample (order and detail included), an exception class or a cursor
+does.  Two trees hold the same results when the outputs of this script on
+both, each run with its own ``src`` on ``PYTHONPATH``, are equal under
+``diff``.  The set takes about 4 minutes on one core and peaks near
+400 MB, most of it the lowered-slack counterexamples.
+
+The set has 60 campaigns:
+- lemma_suite at order 8, seeds 0-2, 75,000 samples each;
+- lemma_suite at orders 4-8 over 20,000 samples, once stopped after 9,000
+  and once as shard 1 of 3;
+- thm15, thm110, lemma35 and conj19 exhaustive at orders 4 and 5, on shard
+  17 of 1021 of order 6, and sampled at order 7;
+- bypass_claim at orders 5 and 6, exhaustive and sampled;
+- thm15, thm110 and conj19 with the triple-condition slack lowered to -2,
+  -4 and -8, exhaustive at orders 4 and 5 and sampled at order 6.  These
+  negative slacks make many hits fail, so the counterexample path is
+  hashed too.  lemma35 is left out: its judge raises below slack 0.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from typing import Optional
+
+from hamlab import harness
+from hamlab.harness import CampaignSpec, run_campaign
+
+#: (spec, stop_after, slack override or None)
+Entry = tuple[CampaignSpec, Optional[int], Optional[int]]
+
+
+def campaigns() -> list[Entry]:
+    out: list[Entry] = []
+    lemma = dict(claim="lemma_suite", mode="sample")
+    for seed in range(3):
+        out.append((CampaignSpec(n=8, samples=75_000, seed=seed, **lemma), None, None))
+    for n in range(4, 9):
+        out.append((CampaignSpec(n=n, samples=20_000, **lemma), 9_000, None))
+        out.append((CampaignSpec(n=n, samples=20_000, shard=1, shards=3, **lemma), None, None))
+    for claim in ("thm15", "thm110", "lemma35", "conj19"):
+        out.append((CampaignSpec(claim=claim, n=4), None, None))
+        out.append((CampaignSpec(claim=claim, n=5), None, None))
+        out.append((CampaignSpec(claim=claim, n=6, shard=17, shards=1021), None, None))
+        sampled = CampaignSpec(claim=claim, n=7, mode="sample", samples=20_000, seed=1)
+        out.append((sampled, None, None))
+    for n in (5, 6):
+        out.append((CampaignSpec(claim="bypass_claim", n=n), None, None))
+        sampled = CampaignSpec(claim="bypass_claim", n=n, mode="sample", samples=20_000, seed=2)
+        out.append((sampled, None, None))
+    for claim in ("thm15", "thm110", "conj19"):
+        for slack in (-2, -4, -8):
+            out.append((CampaignSpec(claim=claim, n=4), None, slack))
+            out.append((CampaignSpec(claim=claim, n=5), None, slack))
+            sampled = CampaignSpec(claim=claim, n=6, mode="sample", samples=5_000, seed=3)
+            out.append((sampled, None, slack))
+    return out
+
+
+def label(entry: Entry) -> str:
+    spec, stop_after, slack = entry
+    fields = {k: v for k, v in spec.identity().items() if k not in ("claim", "n")}
+    text = f"{spec.claim} n={spec.n} " + " ".join(f"{k}={v}" for k, v in fields.items())
+    if stop_after is not None:
+        text += f" stop_after={stop_after}"
+    if slack is not None:
+        text += f" slack={slack}"
+    return text
+
+
+def digest(entry: Entry) -> str:
+    """sha256 of the campaign's result and final checkpoint, wall times left out."""
+    spec, stop_after, slack = entry
+    saved = dict(harness._CLAIM_SLACK)
+    if slack is not None:
+        harness._CLAIM_SLACK[spec.claim] = slack
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "checkpoint.json")
+            spec = CampaignSpec(**spec.identity(), checkpoint_path=path)
+            result = run_campaign(spec, stop_after=stop_after, allow_long=True).to_json()
+            with open(path, encoding="utf-8") as fh:
+                checkpoint = json.load(fh)
+    finally:
+        harness._CLAIM_SLACK.clear()
+        harness._CLAIM_SLACK.update(saved)
+    del result["elapsed_ms"], checkpoint["elapsed_ms"]
+    blob = json.dumps([result, checkpoint], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def main() -> int:
+    for entry in campaigns():
+        print(f"{digest(entry)}  {label(entry)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -307,24 +307,15 @@ def insert_vertex(d: Digraph, p: PathWitness, x: int) -> Optional[tuple[int, Pat
 def cycles_from_external_vertex(
     d: Digraph, c: CycleWitness, x: int
 ) -> dict[int, CycleWitness]:
-    """Cycles of every length 2..|C|+1 inside V(C)+x, given d(x, C) >= |C|+1."""
-    c.validate(d)
+    """Cycles of every length 2..|C|+1 inside V(C)+x, given d(x, C) >= |C|+1.
+
+    The one-vertex case of :func:`absorb_path_into_cycle`, with Q = (x).
+    """
     if not 0 <= x < d.n:
         raise GraphError(f"vertex {x} out of range for n={d.n}")
     if c.mask() >> x & 1:
         raise GraphError(f"vertex {x} lies on the cycle")
-    m = len(c)
-    _, _, total = degree_toward(d, x, c.vertices)
-    if total < m + 1:
-        raise HypothesisUnmet(f"d(x, C) = {total} < {m + 1}")
-    pool = c.mask() | 1 << x
-    out: dict[int, CycleWitness] = {}
-    for length in range(2, m + 2):
-        found = find_cycle_rows(d.n, d.out, length, pool)
-        if found is None:
-            raise LemmaViolation(f"guaranteed cycle of length {length} not found")
-        out[length] = CycleWitness(found)
-    return out
+    return absorb_path_into_cycle(d, c, PathWitness((x,)))
 
 
 def absorb_path_into_cycle(

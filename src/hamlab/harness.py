@@ -21,6 +21,10 @@ scalar predicates and the scalar judge still take every negative verdict
 the first hit of every block and every hit above that order; wherever both
 routes run they must agree, so the fast path can never silently decide
 anything.
+
+The lemma suite checks the four constructive operations through one setup:
+a base B (a cycle, or a path) and a path Q off B, a single vertex for vertex
+insertion and for cycles through an external vertex, under one degree gate.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from .digraph import (
     CycleWitness,
     Digraph,
     GraphError,
-    HypothesisUnmet,
     PathWitness,
     from_rows,
     is_strong,
@@ -96,7 +99,16 @@ _FREE_DIGRAPH_ORDER = 5
 #: exhaustive tournament space needs an explicit opt-in beyond this order
 _FREE_TOURNAMENT_ORDER = 6
 
-_LEMMA_KEYS = ("external_cycles", "insertion", "absorption", "merge")
+#: per lemma, the detail keys naming its base B and its second piece Q off B:
+#: a "cycle" base is a cycle (else a path), and an "x" piece is one vertex
+_LEMMA_PIECES = {
+    "external_cycles": ("cycle", "x"),
+    "insertion": ("path", "x"),
+    "absorption": ("cycle", "path"),
+    "merge": ("path", "other"),
+}
+
+_LEMMA_KEYS = tuple(_LEMMA_PIECES)
 
 #: lemma_suite orders: one 64-bit draw holds the n(n-1) arc bits
 _LEMMA_MAX_N = 8
@@ -365,7 +377,7 @@ class CampaignResult:
             detail=data["detail"],
             cursor=cursor,
             complete=data["complete"],
-            elapsed_ms=data["elapsed_ms"],
+            elapsed_ms=data.get("elapsed_ms", 0),  # committed results leave it out
         )
 
 
@@ -948,179 +960,97 @@ def _lemma_inputs(
     return orders, rows, strong, pairs
 
 
+def _lemma_gate(
+    rows: Sequence[int], base: Sequence[int], q: Sequence[int], on_cycle: bool
+) -> bool:
+    """The one degree hypothesis of the four lemma setups, for path Q off base B.
+
+    d-(head Q, B) + d+(tail Q, B) >= |B| + 1 when B is a cycle, and >= |B| +
+    [last B -> head Q] + [tail Q -> first B] when B is a path.  With Q = (x)
+    these are d(x, C) >= |C| + 1 and ``insert_vertex``'s three-case guarantee.
+    """
+    head, out = q[0], rows[q[-1]]
+    degree = 0
+    for b in base:
+        degree += (rows[b] >> head & 1) + (out >> b & 1)
+    ends = 1 if on_cycle else (rows[base[-1]] >> head & 1) + (out >> base[0] & 1)
+    return degree >= len(base) + ends
+
+
 def _lemma_sample(
-    spec: CampaignSpec,
-    tally: _Tally,
-    ordinal: int,
-    n: int,
-    rows: list[int],
-    draws: list[int],
+    spec: CampaignSpec, tally: _Tally, ordinal: int, n: int, rows: list[int], draws: list[int]
 ) -> None:
     """Check one random digraph against all four constructive-lemma setups.
 
     ``draws`` holds a (length, chooser) pair per lemma, in ``_LEMMA_KEYS``
-    order (see ``_lemma_inputs``).
+    order (see ``_lemma_inputs``).  Each setup is a base B, the first cycle
+    or path of the drawn length, and a path Q off B: the chooser-th vertex
+    outside B, or the first path of 1 + chooser vertices outside B.  A setup
+    passing ``_lemma_gate`` is a hit.  Its operation, looked up by module
+    name at call time, must then give a cycle of every length
+    |Q|+1..|B|+|Q| inside V(B) + V(Q) (cycle base), or a path first(B) ->
+    last(B) covering V(B) + V(Q) (path base); else, or if it raises, the
+    hit is a counterexample.
     """
     d: Optional[Digraph] = None
-
-    def materialize() -> Digraph:
-        nonlocal d
-        if d is None:
-            d = from_rows(n, rows)
-        return d
-
-    def fail(kind: str, info: dict[str, Any]) -> None:
-        tally.counterexamples.append(
-            Counterexample(
-                ordinal,
-                serialize(materialize()),
-                {
-                    "claim": "lemma_suite",
-                    "lemma": kind,
-                    "sample": ordinal,
-                    "stream_seed": derived_seed(spec.seed, ordinal),
-                    **info,
-                },
-            )
-        )
-
-    def succeed(kind: str) -> None:
-        tally.verified += 1
-        tally.detail[kind]["successes"] += 1
-
-    def hit(kind: str) -> None:
+    for k, kind in enumerate(_LEMMA_KEYS):
+        base_key, q_key = _LEMMA_PIECES[kind]
+        on_cycle = base_key == "cycle"
+        length, chooser = draws[2 * k], draws[2 * k + 1]
+        base = (find_cycle_rows if on_cycle else find_path_rows)(n, rows, length)
+        if base is None:
+            continue
+        bmask = 0
+        for v in base:
+            bmask |= 1 << v
+        pool = ((1 << n) - 1) & ~bmask
+        if q_key == "x":
+            q = ([v for v in range(n) if pool >> v & 1][chooser],)
+        else:
+            q = find_path_rows(n, rows, 1 + chooser, pool)
+        if q is None or not _lemma_gate(rows, base, q, on_cycle):
+            continue
         tally.hits += 1
         tally.detail[kind]["hits"] += 1
-
-    # cycles through an external vertex
-    length, chooser = draws[0], draws[1]
-    cycle = find_cycle_rows(n, rows, length)
-    if cycle is not None:
-        cmask = 0
-        for v in cycle:
-            cmask |= 1 << v
-        outside = [v for v in range(n) if not cmask >> v & 1]
-        x = outside[chooser]
-        toward = (rows[x] & cmask).bit_count() + sum(rows[c] >> x & 1 for c in cycle)
-        if toward >= length + 1:
-            hit("external_cycles")
-            try:
-                found = cycles_from_external_vertex(
-                    materialize(), CycleWitness(cycle), x
-                )
-                for want in range(2, length + 2):
-                    witness = found[want]
-                    witness.validate(materialize())
-                    if witness.mask() & ~(cmask | 1 << x):
-                        raise LemmaViolation("cycle escaped the allowed vertex pool")
-                succeed("external_cycles")
-            except (LemmaViolation, HypothesisUnmet, KeyError, GraphError) as exc:
-                fail("external_cycles", {"cycle": list(cycle), "x": x, "error": str(exc)})
-
-    # single-vertex insertion into a path
-    length, chooser = draws[2], draws[3]
-    path = find_path_rows(n, rows, length)
-    if path is not None:
-        pmask = 0
-        for v in path:
-            pmask |= 1 << v
-        outside = [v for v in range(n) if not pmask >> v & 1]
-        x = outside[chooser]
-        toward = (rows[x] & pmask).bit_count() + sum(rows[p] >> x & 1 for p in path)
-        to_first = rows[x] >> path[0] & 1
-        from_last = rows[path[-1]] >> x & 1
-        guaranteed = (
-            toward >= length + 2
-            or (toward >= length + 1 and (not to_first or not from_last))
-            or (toward >= length and not to_first and not from_last)
-        )
-        if guaranteed:
-            hit("insertion")
-            slot = insert_vertex(materialize(), PathWitness(path), x)
-            if slot is None:
-                fail("insertion", {"path": list(path), "x": x, "error": "no slot found"})
+        if d is None:
+            d = from_rows(n, rows)
+        cover = bmask | sum(1 << v for v in q)
+        try:
+            if kind == "external_cycles":
+                found = cycles_from_external_vertex(d, CycleWitness(base), q[0])
+            elif kind == "absorption":
+                found = absorb_path_into_cycle(d, CycleWitness(base), PathWitness(q))
+            elif kind == "merge":
+                found = merge_path(d, PathWitness(base), PathWitness(q))
             else:
-                extended = slot[1]
-                try:
-                    extended.validate(materialize())
-                    ok = (
-                        len(extended) == length + 1
-                        and extended.first == path[0]
-                        and extended.last == path[-1]
-                        and extended.mask() == pmask | 1 << x
-                    )
-                    if not ok:
-                        raise LemmaViolation("extended path malformed")
-                    succeed("insertion")
-                except (LemmaViolation, GraphError) as exc:
-                    fail("insertion", {"path": list(path), "x": x, "error": str(exc)})
-
-    # absorbing a disjoint path into a cycle
-    length, chooser = draws[4], draws[5]
-    cycle = find_cycle_rows(n, rows, length)
-    if cycle is not None:
-        cmask = 0
-        for v in cycle:
-            cmask |= 1 << v
-        pool = ((1 << n) - 1) & ~cmask
-        r = 1 + chooser
-        q = find_path_rows(n, rows, r, pool)
-        if q is not None:
-            head_in = sum(rows[c] >> q[0] & 1 for c in cycle)
-            tail_out = (rows[q[-1]] & cmask).bit_count()
-            if head_in + tail_out >= length + 1:
-                hit("absorption")
-                try:
-                    found = absorb_path_into_cycle(
-                        materialize(), CycleWitness(cycle), PathWitness(q)
-                    )
-                    qmask = 0
-                    for v in q:
-                        qmask |= 1 << v
-                    for want in range(r + 1, length + r + 1):
-                        witness = found[want]
-                        witness.validate(materialize())
-                        if witness.mask() & ~(cmask | qmask):
-                            raise LemmaViolation("cycle escaped the allowed vertex pool")
-                    succeed("absorption")
-                except (LemmaViolation, HypothesisUnmet, KeyError, GraphError) as exc:
-                    fail(
-                        "absorption",
-                        {"cycle": list(cycle), "path": list(q), "error": str(exc)},
-                    )
-
-    # merging two disjoint paths endpoint-to-endpoint
-    length, chooser = draws[6], draws[7]
-    path = find_path_rows(n, rows, length)
-    if path is not None:
-        pmask = 0
-        for v in path:
-            pmask |= 1 << v
-        pool = ((1 << n) - 1) & ~pmask
-        r = 1 + chooser
-        q = find_path_rows(n, rows, r, pool)
-        if q is not None:
-            head_in = sum(rows[p] >> q[0] & 1 for p in path)
-            tail_out = (rows[q[-1]] & pmask).bit_count()
-            need = length + (rows[path[-1]] >> q[0] & 1) + (rows[q[-1]] >> path[0] & 1)
-            if head_in + tail_out >= need:
-                hit("merge")
-                try:
-                    merged = merge_path(materialize(), PathWitness(path), PathWitness(q))
-                    merged.validate(materialize())
-                    qmask = 0
-                    for v in q:
-                        qmask |= 1 << v
-                    ok = (
-                        merged.first == path[0]
-                        and merged.last == path[-1]
-                        and merged.mask() == pmask | qmask
-                    )
-                    if not ok:
-                        raise LemmaViolation("merged path malformed")
-                    succeed("merge")
-                except (LemmaViolation, HypothesisUnmet, GraphError) as exc:
-                    fail("merge", {"path": list(path), "other": list(q), "error": str(exc)})
+                slot = insert_vertex(d, PathWitness(base), q[0])
+                if slot is None:
+                    raise LemmaViolation("no slot found")
+                found = slot[1]
+            if on_cycle:
+                for want in range(len(q) + 1, len(base) + len(q) + 1):
+                    witness = found[want]
+                    witness.validate(d)
+                    if len(witness) != want or witness.mask() & ~cover:
+                        raise LemmaViolation(f"no cycle of length {want} inside V(B) + V(Q)")
+            else:
+                found.validate(d)
+                if (found.first, found.last, found.mask()) != (base[0], base[-1], cover):
+                    raise LemmaViolation("no path first(B) -> last(B) covering V(B) + V(Q)")
+        except (LemmaViolation, KeyError, GraphError) as exc:
+            detail = {
+                "claim": "lemma_suite",
+                "lemma": kind,
+                "sample": ordinal,
+                "stream_seed": derived_seed(spec.seed, ordinal),
+                base_key: list(base),
+                q_key: q[0] if q_key == "x" else list(q),
+                "error": str(exc),
+            }
+            tally.counterexamples.append(Counterexample(ordinal, serialize(d), detail))
+        else:
+            tally.verified += 1
+            tally.detail[kind]["successes"] += 1
 
 
 # ---------------------------------------------------------------------------

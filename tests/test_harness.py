@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -19,7 +20,9 @@ from hamlab.cycles import cycle_spectrum, find_cycle_rows, hamiltonian_bypass, h
 from hamlab.digraph import (
     CycleWitness,
     Digraph,
+    HypothesisUnmet,
     PathWitness,
+    from_rows,
     is_strong,
     parse,
     serialize,
@@ -482,6 +485,54 @@ def test_broken_lemma_operation_becomes_counterexample(monkeypatch, kind, name, 
         assert tally["successes"] == 0
 
 
+def _walks(d, pool, closed):
+    """Every path (closed: cycle in canonical rotation) inside ``pool``."""
+    members = [v for v in range(d.n) if pool >> v & 1]
+    for size in range(1, len(members) + 1):
+        for vs in itertools.permutations(members, size):
+            steps = zip(vs, vs[1:] + vs[:1] if closed else vs[1:])
+            if all(d.has_arc(a, b) for a, b in steps) and not (closed and vs[0] != min(vs)):
+                yield vs
+
+
+def test_lemma_gate_equals_every_operation_hypothesis_over_strong_order4_space():
+    checked = 0
+    for index in range(1 << enum_bits(4)):
+        rows = rows_from_index(4, index)
+        if not strong_rows(4, rows):
+            continue
+        d = from_rows(4, rows)
+        for on_cycle in (True, False):
+            for base in _walks(d, d.full_mask, on_cycle):
+                if not 2 <= len(base) <= 3:  # the lengths the sampler draws
+                    continue
+                pool = d.full_mask & ~PathWitness(base).mask()
+                for q in _walks(d, pool, False):
+                    gate = harness._lemma_gate(rows, base, q, on_cycle)
+                    if not on_cycle and len(q) == 1:
+                        # insert_vertex's single-vertex insertion guarantee
+                        x = q[0]
+                        toward = sum(d.has_arc(x, p) + d.has_arc(p, x) for p in base)
+                        to_first, from_last = d.has_arc(x, base[0]), d.has_arc(base[-1], x)
+                        assert gate == (
+                            toward >= len(base) + 2
+                            or (toward >= len(base) + 1 and (not to_first or not from_last))
+                            or (toward >= len(base) and not to_first and not from_last)
+                        )
+                        continue
+                    try:
+                        if on_cycle:
+                            cycles.absorb_path_into_cycle(d, CycleWitness(base), PathWitness(q))
+                        else:
+                            cycles.merge_path(d, PathWitness(base), PathWitness(q))
+                    except HypothesisUnmet:
+                        assert not gate, (rows, base, q)
+                    else:
+                        assert gate, (rows, base, q)
+                    checked += 1
+    assert checked > 10_000
+
+
 @pytest.mark.parametrize("seed", [0, 0x9E3779B97F4A7C15])
 def test_lemma_inputs_match_scalar_stream(seed):
     ordinals = np.arange(4096, dtype=np.uint64)
@@ -748,6 +799,10 @@ def test_partial_result_json_roundtrip(spec):
     assert not partial.complete and partial.hypothesis_hits
     again = harness.CampaignResult.from_json(json.loads(json.dumps(partial.to_json())))
     assert again == partial
+    stored = partial.to_json()
+    del stored["elapsed_ms"]  # a committed result leaves out its wall time
+    timeless = harness.CampaignResult.from_json(stored)
+    assert timeless == partial and timeless.elapsed_ms == 0
 
 
 def test_partial_result_cursor_shapes(tmp_path):
