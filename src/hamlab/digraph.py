@@ -99,8 +99,11 @@ def from_rows(n: int, rows: Sequence[int]) -> Digraph:
     """Assemble a Digraph from out-adjacency rows, deriving the in rows."""
     inn = [0] * n
     for u in range(n):
-        for v in bits(rows[u]):
-            inn[v] |= 1 << u
+        bit, row = 1 << u, rows[u]
+        while row:
+            low = row & -row
+            inn[low.bit_length() - 1] |= bit
+            row ^= low
     return Digraph(n, tuple(rows), tuple(inn))
 
 
@@ -337,11 +340,13 @@ class PathWitness:
             raise GraphError("path witness must contain at least one vertex")
         if len(set(vs)) != len(vs):
             raise GraphError(f"path witness repeats a vertex: {vs}")
-        for v in vs:
-            if not 0 <= v < d.n:
-                raise GraphError(f"path vertex {v} out of range for n={d.n}")
+        if min(vs) < 0 or max(vs) >= d.n:
+            for v in vs:
+                if not 0 <= v < d.n:
+                    raise GraphError(f"path vertex {v} out of range for n={d.n}")
+        out = d.out
         for a, b in zip(vs, vs[1:]):
-            if not d.has_arc(a, b):
+            if not out[a] >> b & 1:
                 raise GraphError(f"path witness uses missing arc ({a}, {b})")
 
     def to_json(self) -> list[int]:
@@ -375,14 +380,16 @@ class CycleWitness:
             raise GraphError("cycle witness needs at least two vertices")
         if len(set(vs)) != len(vs):
             raise GraphError(f"cycle witness repeats a vertex: {vs}")
-        if vs[0] != min(vs):
+        least = min(vs)
+        if vs[0] != least:
             raise GraphError(f"cycle witness not in canonical rotation: {vs}")
-        for v in vs:
-            if not 0 <= v < d.n:
-                raise GraphError(f"cycle vertex {v} out of range for n={d.n}")
-        for i, v in enumerate(vs):
-            w = vs[(i + 1) % len(vs)]
-            if not d.has_arc(v, w):
+        if least < 0 or max(vs) >= d.n:
+            for v in vs:
+                if not 0 <= v < d.n:
+                    raise GraphError(f"cycle vertex {v} out of range for n={d.n}")
+        out = d.out
+        for v, w in zip(vs, vs[1:] + vs[:1]):
+            if not out[v] >> w & 1:
                 raise GraphError(f"cycle witness uses missing arc ({v}, {w})")
 
     def to_json(self) -> list[int]:

@@ -25,6 +25,11 @@ anything.
 The lemma suite checks the four constructive operations through one setup:
 a base B (a cycle, or a path) and a path Q off B, a single vertex for vertex
 insertion and for cycles through an external vertex, under one degree gate.
+Setups are found and gated in numpy a block at a time (``scan.first_paths``
+gives the same lex-first witnesses as the scalar searches), while the
+operations and their post-checks, which are what the suite verifies, stay
+scalar and run only on the hits.  The scalar searches set up the first
+sample of every chunk again, and the campaign raises on any difference.
 """
 
 from __future__ import annotations
@@ -109,6 +114,12 @@ _LEMMA_PIECES = {
 }
 
 _LEMMA_KEYS = tuple(_LEMMA_PIECES)
+
+#: [c, j]: the j-th lowest set bit of byte c, ``scan.NO_VERTEX`` past the last
+_NTH_BIT = np.array(
+    [[v for v in range(8) if c >> v & 1] + [255] * (8 - c.bit_count()) for c in range(256)],
+    dtype=np.uint8,
+)
 
 #: lemma_suite orders: one 64-bit draw holds the n(n-1) arc bits
 _LEMMA_MAX_N = 8
@@ -894,28 +905,48 @@ def _run_lemma_suite(
     """Screen blocks of seeded random digraphs for the four lemma setups.
 
     Each block's inputs (order, rows, strong flag, draws) come from numpy in
-    one pass (``_lemma_inputs``); the samples then run one by one in ordinal
-    order, turned into Python lists ``_LEMMA_CHUNK`` at a time to bound the
-    memory the lists take.  The first sample of every chunk is re-screened
-    by the scalar ``strong_rows``, and the campaign raises if the two screens
-    disagree.  Checkpoints fall after every block of 4096 samples.
+    one pass (``_lemma_inputs``), and so do its setups: every base B, path Q
+    and gate (``_lemma_setups``).  Only the samples with a hit reach Python,
+    in ordinal order and ``_LEMMA_CHUNK`` at a time, where the unchanged
+    scalar operations and post-checks run (``_lemma_hit``), because those are
+    what the suite verifies.  The first sample of every chunk is screened
+    again by the scalar ``strong_rows`` and set up again by the scalar
+    ``_lemma_setup``, and the campaign raises if either differs from the
+    vector route.  Checkpoints fall after every block of 4096 samples.
     """
     for ordinals in _block_positions(spec, tally, stop_after, 1 << 12):
         orders, rows, strong, pairs = _lemma_inputs(spec.seed, spec.n, ordinals)
         tally.strong += int(strong.sum())
+        base, q, hits = _lemma_setups(orders, rows, pairs)
         for lo in range(0, ordinals.size, _LEMMA_CHUNK):
             hi = lo + _LEMMA_CHUNK
-            first = int(orders[lo])
-            if strong_rows(first, rows[lo, :first].tolist()) != strong[lo]:
+            n = int(orders[lo])
+            first = rows[lo, :n].tolist()
+            if strong_rows(n, first) != strong[lo]:
                 raise RuntimeError("vector and scalar strong screens disagree on a lemma sample")
+            draws = pairs[:, lo].tolist()
+            for k, kind in enumerate(_LEMMA_KEYS):
+                length, chooser = draws[2 * k], draws[2 * k + 1]
+                got = _lemma_witnesses(base[k][lo].tolist(), q[k][lo].tolist(), kind, length, chooser)
+                if _lemma_setup(n, first, kind, length, chooser) != (*got, bool(hits[k, lo])):
+                    raise RuntimeError("vector and scalar lemma setups disagree")
+            picked = lo + np.flatnonzero(hits[:, lo:hi].any(axis=0))
             chunk = zip(
-                ordinals[lo:hi].tolist(),
-                orders[lo:hi].tolist(),
-                rows[lo:hi].tolist(),
-                pairs[:, lo:hi].T.tolist(),
+                ordinals[picked].tolist(),
+                orders[picked].tolist(),
+                rows[picked].tolist(),
+                pairs[:, picked].T.tolist(),
+                hits[:, picked].T.tolist(),
+                zip(*(b[picked].tolist() for b in base)),
+                zip(*(p[picked].tolist() for p in q)),
             )
-            for ordinal, n, row, draws in chunk:
-                _lemma_sample(spec, tally, ordinal, n, row[:n], draws)
+            for ordinal, n, row, draws, hit, bases, paths in chunk:
+                d = from_rows(n, row[:n])
+                for k, kind in enumerate(_LEMMA_KEYS):
+                    if hit[k]:
+                        length, chooser = draws[2 * k], draws[2 * k + 1]
+                        b, p = _lemma_witnesses(bases[k], paths[k], kind, length, chooser)
+                        _lemma_hit(spec, tally, ordinal, d, kind, b, p)
         tally.scanned += ordinals.size
         tick()
 
@@ -977,80 +1008,149 @@ def _lemma_gate(
     return degree >= len(base) + ends
 
 
-def _lemma_sample(
-    spec: CampaignSpec, tally: _Tally, ordinal: int, n: int, rows: list[int], draws: list[int]
-) -> None:
-    """Check one random digraph against all four constructive-lemma setups.
+def _lemma_setup(
+    n: int, rows: list[int], kind: str, length: int, chooser: int
+) -> tuple[Optional[tuple[int, ...]], Optional[tuple[int, ...]], bool]:
+    """(B, Q, gate) of one lemma setup, by the scalar searches.
 
-    ``draws`` holds a (length, chooser) pair per lemma, in ``_LEMMA_KEYS``
-    order (see ``_lemma_inputs``).  Each setup is a base B, the first cycle
-    or path of the drawn length, and a path Q off B: the chooser-th vertex
-    outside B, or the first path of 1 + chooser vertices outside B.  A setup
-    passing ``_lemma_gate`` is a hit.  Its operation, looked up by module
-    name at call time, must then give a cycle of every length
-    |Q|+1..|B|+|Q| inside V(B) + V(Q) (cycle base), or a path first(B) ->
-    last(B) covering V(B) + V(Q) (path base); else, or if it raises, the
-    hit is a counterexample.
+    B is the first cycle or path of ``length`` vertices, and Q off B is the
+    chooser-th vertex outside B, or the first path of 1 + chooser vertices
+    outside B; Q is None when B or the path is missing, and the gate is
+    ``_lemma_gate``, false without Q.
     """
-    d: Optional[Digraph] = None
-    for k, kind in enumerate(_LEMMA_KEYS):
-        base_key, q_key = _LEMMA_PIECES[kind]
-        on_cycle = base_key == "cycle"
-        length, chooser = draws[2 * k], draws[2 * k + 1]
-        base = (find_cycle_rows if on_cycle else find_path_rows)(n, rows, length)
-        if base is None:
-            continue
-        bmask = 0
-        for v in base:
-            bmask |= 1 << v
-        pool = ((1 << n) - 1) & ~bmask
+    on_cycle = _LEMMA_PIECES[kind][0] == "cycle"
+    base = (find_cycle_rows if on_cycle else find_path_rows)(n, rows, length)
+    if base is None:
+        return None, None, False
+    pool = (1 << n) - 1
+    for v in base:
+        pool &= ~(1 << v)
+    if _LEMMA_PIECES[kind][1] == "x":
+        q: Optional[tuple[int, ...]] = ([v for v in range(n) if pool >> v & 1][chooser],)
+    else:
+        q = find_path_rows(n, rows, 1 + chooser, pool)
+    return base, q, q is not None and _lemma_gate(rows, base, q, on_cycle)
+
+
+def _lemma_witnesses(
+    base: list[int], q: list[int], kind: str, length: int, chooser: int
+) -> tuple[Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
+    """B and Q of one setup as tuples, from its ``_lemma_setups`` witness rows."""
+    if base[0] == scan.NO_VERTEX:
+        return None, None
+    size = 1 if _LEMMA_PIECES[kind][1] == "x" else 1 + chooser
+    return tuple(base[:length]), None if q[0] == scan.NO_VERTEX else tuple(q[:size])
+
+
+def _lemma_setups(
+    orders: np.ndarray, rows: np.ndarray, pairs: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Every setup of a block of lemma samples: the vector twin of ``_lemma_setup``.
+
+    Takes ``_lemma_inputs``' orders, rows and pairs.  Returns per lemma, in
+    ``_LEMMA_KEYS`` order, B and Q of each sample as (B, 8) uint8 witness
+    rows (``scan.first_paths``' layout), and the (4, B) hit flags.  Bases and
+    paths Q come from ``scan.first_paths``, each Q inside the pool off its
+    B; an "x" piece is the chooser-th vertex of that pool.  The gate is
+    ``_lemma_gate`` on whole arrays.  Lemmas run one at a time: two at once
+    saved a few percent of the time and cost 0.6 MB more peak memory.
+    """
+    count = orders.size
+    rows8 = np.zeros((count, 8), dtype=np.uint8)
+    rows8[:, : rows.shape[1]] = rows
+    into = scan.in_rows(rows8)
+    full = ((1 << orders.astype(np.uint16)) - 1).astype(np.uint8)
+    bases, paths = [], []
+    hits = np.zeros((4, count), dtype=bool)
+    for k, (base_key, q_key) in enumerate(_LEMMA_PIECES.values()):
+        length, chooser = pairs[2 * k], pairs[2 * k + 1]
+        base = scan.first_paths(rows8, length, full, base_key == "cycle")
+        on_base = np.bitwise_or.reduce(scan.VERTEX_BIT[base], axis=1)
+        pool = full & ~on_base
+        found = base[:, 0] != scan.NO_VERTEX
         if q_key == "x":
-            q = ([v for v in range(n) if pool >> v & 1][chooser],)
+            size = np.ones(count, dtype=np.uint8)
+            q = np.full((count, 8), scan.NO_VERTEX, dtype=np.uint8)
+            q[found, 0] = _NTH_BIT[pool[found], chooser[found]]
         else:
-            q = find_path_rows(n, rows, 1 + chooser, pool)
-        if q is None or not _lemma_gate(rows, base, q, on_cycle):
-            continue
-        tally.hits += 1
-        tally.detail[kind]["hits"] += 1
-        if d is None:
-            d = from_rows(n, rows)
-        cover = bmask | sum(1 << v for v in q)
-        try:
-            if kind == "external_cycles":
-                found = cycles_from_external_vertex(d, CycleWitness(base), q[0])
-            elif kind == "absorption":
-                found = absorb_path_into_cycle(d, CycleWitness(base), PathWitness(q))
-            elif kind == "merge":
-                found = merge_path(d, PathWitness(base), PathWitness(q))
-            else:
-                slot = insert_vertex(d, PathWitness(base), q[0])
-                if slot is None:
-                    raise LemmaViolation("no slot found")
-                found = slot[1]
-            if on_cycle:
-                for want in range(len(q) + 1, len(base) + len(q) + 1):
-                    witness = found[want]
-                    witness.validate(d)
-                    if len(witness) != want or witness.mask() & ~cover:
-                        raise LemmaViolation(f"no cycle of length {want} inside V(B) + V(Q)")
-            else:
-                found.validate(d)
-                if (found.first, found.last, found.mask()) != (base[0], base[-1], cover):
-                    raise LemmaViolation("no path first(B) -> last(B) covering V(B) + V(Q)")
-        except (LemmaViolation, KeyError, GraphError) as exc:
-            detail = {
-                "claim": "lemma_suite",
-                "lemma": kind,
-                "sample": ordinal,
-                "stream_seed": derived_seed(spec.seed, ordinal),
-                base_key: list(base),
-                q_key: q[0] if q_key == "x" else list(q),
-                "error": str(exc),
-            }
-            tally.counterexamples.append(Counterexample(ordinal, serialize(d), detail))
+            size = chooser + np.uint8(1)
+            q = scan.first_paths(rows8, np.where(found, size, 0), pool, False)
+        # the gate over the setups with a Q: d-(head Q, B) + d+(tail Q, B)
+        # against |B| + 1 on a cycle, and against |B| + [last B -> head Q]
+        # + [tail Q -> first B] on a path
+        s = np.flatnonzero(q[:, 0] != scan.NO_VERTEX)
+        head, tail = q[s, 0], q[s, size[s] - 1]
+        tail_out, mask = rows8[s, tail], on_base[s]
+        degree = scan.POP8[into[s, head] & mask] + scan.POP8[tail_out & mask]
+        need = length[s] + np.uint8(1)
+        if base_key == "path":
+            last = base[s, length[s] - 1]
+            need = length[s] + (rows8[s, last] >> head & 1) + (tail_out >> base[s, 0] & 1)
+        hits[k, s] = degree >= need
+        bases.append(base)
+        paths.append(q)
+    return bases, paths, hits
+
+
+def _lemma_hit(
+    spec: CampaignSpec,
+    tally: _Tally,
+    ordinal: int,
+    d: Digraph,
+    kind: str,
+    base: tuple[int, ...],
+    q: tuple[int, ...],
+) -> None:
+    """Run one hit's operation and check what it gives.
+
+    The operation, looked up by module name at call time, must give a cycle
+    of every length |Q|+1..|B|+|Q| inside V(B) + V(Q) (cycle base), or a path
+    first(B) -> last(B) covering V(B) + V(Q) (path base); else, or if it
+    raises, the hit is a counterexample.
+    """
+    base_key, q_key = _LEMMA_PIECES[kind]
+    on_cycle = base_key == "cycle"
+    tally.hits += 1
+    tally.detail[kind]["hits"] += 1
+    cover = 0
+    for v in base + q:
+        cover |= 1 << v
+    try:
+        if kind == "external_cycles":
+            found = cycles_from_external_vertex(d, CycleWitness(base), q[0])
+        elif kind == "absorption":
+            found = absorb_path_into_cycle(d, CycleWitness(base), PathWitness(q))
+        elif kind == "merge":
+            found = merge_path(d, PathWitness(base), PathWitness(q))
         else:
-            tally.verified += 1
-            tally.detail[kind]["successes"] += 1
+            slot = insert_vertex(d, PathWitness(base), q[0])
+            if slot is None:
+                raise LemmaViolation("no slot found")
+            found = slot[1]
+        if on_cycle:
+            for want in range(len(q) + 1, len(base) + len(q) + 1):
+                witness = found[want]
+                witness.validate(d)
+                if len(witness) != want or witness.mask() & ~cover:
+                    raise LemmaViolation(f"no cycle of length {want} inside V(B) + V(Q)")
+        else:
+            found.validate(d)
+            if (found.first, found.last, found.mask()) != (base[0], base[-1], cover):
+                raise LemmaViolation("no path first(B) -> last(B) covering V(B) + V(Q)")
+    except (LemmaViolation, KeyError, GraphError) as exc:
+        detail = {
+            "claim": "lemma_suite",
+            "lemma": kind,
+            "sample": ordinal,
+            "stream_seed": derived_seed(spec.seed, ordinal),
+            base_key: list(base),
+            q_key: q[0] if q_key == "x" else list(q),
+            "error": str(exc),
+        }
+        tally.counterexamples.append(Counterexample(ordinal, serialize(d), detail))
+    else:
+        tally.verified += 1
+        tally.detail[kind]["successes"] += 1
 
 
 # ---------------------------------------------------------------------------

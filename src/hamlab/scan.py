@@ -30,7 +30,10 @@ The hit-block kernels cover orders up to ``HIT_MAX_N``:
   pass over (subset, endpoint);
 - ``bypass_flags`` finds a Hamiltonian bypass (a spanning path whose first
   vertex beats its last) by the same pass rooted at each start vertex;
-- ``lemma35_flags`` is the paired low-degree property.
+- ``lemma35_flags`` is the paired low-degree property;
+- ``first_paths`` runs the lex-first path and cycle searches of
+  ``cycles._first_path`` for a block of setups in lockstep (the lemma
+  suite's bases B and paths Q).
 """
 
 from __future__ import annotations
@@ -39,10 +42,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .cycles import find_cycle_rows, find_path_rows
 from .generators import GAMMA, GIVE_UP_AFTER, GiveUpError, threshold_for
 
 U = np.uint64
 ONE = U(1)
+ONE_8 = np.uint8(1)
 GAMMA_U = U(GAMMA)
 
 _SH = [U(i) for i in range(65)]
@@ -56,7 +61,7 @@ _M2 = U(0x94D049BB133111EB)
 _S30, _S27, _S31 = U(30), U(27), U(31)
 
 #: set-bit count of each byte value
-_POP8 = np.array([c.bit_count() for c in range(256)], dtype=np.uint8)
+POP8 = np.array([c.bit_count() for c in range(256)], dtype=np.uint8)
 #: byte value -> uint64 holding bit j of the byte in byte j (a per-bit counter)
 _SPREAD = np.array(
     [sum(1 << 8 * j for j in range(8) if c >> j & 1) for c in range(256)], dtype="<u8"
@@ -192,7 +197,7 @@ def _degrees(n: int, octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     count, _, width = octets.shape
     out_deg = np.zeros((n, count), dtype=np.int16)
     for b in range(width):
-        out_deg += _POP8[octets[:, :, b].T]
+        out_deg += POP8[octets[:, :, b].T]
     counters = np.zeros((count, width), dtype="<u8")
     for u in range(n):
         counters += _SPREAD[octets[:, u]]
@@ -449,6 +454,155 @@ def lemma35_flags(n: int, rows: np.ndarray) -> np.ndarray:
     nonadj[:, np.arange(n), np.arange(n)] = False
     low = nonadj & (deg[:, :, None] + deg[:, None, :] < 2 * n - 1)
     return (low.sum(axis=2) < 2).all(axis=1)
+
+
+#: lowest set bit of each byte as a vertex id, 8 for the empty byte
+_LOW8 = np.array([(c & -c).bit_length() - 1 if c else 8 for c in range(256)], dtype=np.uint8)
+#: each vertex id's bit as a byte, 0 for the ids 8..255 that pad a witness
+VERTEX_BIT = np.array([1 << v if v < 8 else 0 for v in range(256)], dtype=np.uint8)
+#: per vertex r, the byte of the vertices above r
+_ABOVE8 = np.array([0xFF << r + 1 & 0xFF for r in range(8)], dtype=np.uint8)
+_R8 = np.arange(8, dtype=np.uint8)
+#: masks and shifts of the three delta swaps that transpose an 8x8 bit matrix
+_TRANSPOSE8 = [
+    (U(0x00AA00AA00AA00AA), U(7)),
+    (U(0x0000CCCC0000CCCC), U(14)),
+    (U(0x00000000F0F0F0F0), U(28)),
+]
+
+#: pad of a witness row past its last vertex; a row of it alone is no witness
+NO_VERTEX = np.uint8(255)
+
+#: lockstep passes ``first_paths`` makes before the scalar search finishes
+#: the setups still busy (about 1 in 100 of a lemma block)
+_DFS_CAP = 16
+
+
+def in_rows(rows: np.ndarray) -> np.ndarray:
+    """(S, 8) uint8 in-rows of (S, 8) uint8 out-rows: bit v of ``[s, w]`` set when v→w.
+
+    Each row is one 8x8 bit matrix in a uint64, transposed by three delta swaps.
+    """
+    x = np.ascontiguousarray(rows, dtype=np.uint8).view("<u8").ravel()
+    for mask, shift in _TRANSPOSE8:
+        t = x ^ (x >> shift)
+        t &= mask
+        x = x ^ t
+        x ^= t << shift
+    return x.view(np.uint8).reshape(-1, 8)
+
+
+def first_paths(rows: np.ndarray, length: np.ndarray, pool: np.ndarray, cyclic: bool) -> np.ndarray:
+    """Lex-first path or cycle witnesses for a block of setups.
+
+    The block-wide twin of ``cycles.find_path_rows(n, rows, length, pool)``
+    (``cyclic`` false) and ``cycles.find_cycle_rows(n, rows, length, pool)``
+    (``cyclic`` true): setup s asks for a witness of ``length[s]`` vertices
+    inside the vertex set ``pool[s]`` of the digraph ``rows[s]`` (uint8
+    out-rows, up to 8 columns).  Row s of the (S, 8) uint8 result holds the
+    witness followed by ``NO_VERTEX``, or only ``NO_VERTEX`` when there is
+    none.
+
+    Every setup runs ``cycles._first_path``'s depth-first search in lockstep:
+    a pass backtracks each setup until it has an untried candidate, then
+    extends it by its lowest one, so every setup meets the paths in the
+    scalar order and stops at the same one.  Depth 0 is a virtual root whose
+    candidates are the starts (every pool vertex) or the eligible cycle
+    roots: r such that the pool holds at least ``length`` vertices from r
+    up, an out-neighbour of r above r and an in-neighbour of r above r
+    (``find_cycle_rows``' pruning).  Once a cycle's root r is pushed, its
+    other vertices come from the pool above r and its last one from r's
+    in-neighbours there.
+
+    A setup with neither a candidate nor a vertex on its path is idle: it
+    has found its witness (and keeps it) or run out of starts, and it writes
+    only to a spare cell.  When at most half the setups are busy they are
+    compacted to the next power of two, padded with idle ones, so the arrays
+    that outlive a pass come in a few sizes.  Sizes that change from pass to
+    pass fill numpy's cache of small buffers (up to 7 per byte size below
+    1 KiB), which grew the heap from block to block.  Setups still busy
+    after ``_DFS_CAP`` passes, the long searches, are finished by the scalar
+    search.
+    """
+    count, width = rows.shape
+    if width > HIT_MAX_N:
+        raise ValueError(f"first_paths covers orders up to {HIT_MAX_N}, got {width}")
+    out = np.zeros((count, 8), dtype=np.uint8)
+    out[:, :width] = rows
+    pool = pool.astype(np.uint8)
+    if cyclic:
+        # per (setup, root r): the pool above r, and r's in-neighbours there
+        above = pool[:, None] & _ABOVE8
+        ends = in_rows(out)
+        ends &= above
+        roots = (ends != 0) & (out & above != 0)
+        del above
+        roots &= POP8[pool[:, None] >> _R8] >= length[:, None]
+        roots &= length[:, None] >= 2
+        cand = np.packbits(roots, axis=1, bitorder="little")[:, 0] & pool
+        ends = ends.ravel()
+    else:
+        cand = np.where((length >= 1) & (length <= POP8[pool]), pool, 0).astype(np.uint8)
+    out_rows = out.ravel()
+    # the paths and the stacks of untried candidates, a row of 8 per setup,
+    # plus the spare cell
+    path = np.full(count * 8 + 1, NO_VERTEX, dtype=np.uint8)
+    stack = np.zeros(count * 8 + 1, dtype=np.uint8)
+    spare = np.intp(count * 8)
+    found = np.zeros(count, dtype=bool)
+    # the live setups: the offset of their row, untried candidates, vertices
+    # on the path, path length, target length and pool
+    at = np.arange(0, count * 8, 8)
+    used = np.zeros(count, dtype=np.uint8)
+    depth = np.zeros(count, dtype=np.uint8)
+    want = length.astype(np.uint8)
+    limit = pool
+    for _ in range(_DFS_CAP):
+        while True:
+            back = cand == 0
+            back &= depth != 0
+            if not back.any():
+                break
+            depth -= back
+            top = at + depth
+            np.copyto(cand, stack[top], where=back)
+            used ^= VERTEX_BIT[path[top]] * back
+        step = cand != 0
+        w = _LOW8[cand]
+        top = np.where(step, at + depth, spare)
+        path[top] = w
+        stack[top] = cand & (cand - ONE_8)
+        used |= VERTEX_BIT[w]
+        depth += step
+        np.bitwise_and(out_rows[at + (w & 7)], ~used, out=cand, where=step)
+        if cyclic:
+            root = path[at] & 7
+            cand &= np.where(depth + ONE_8 == want, ends[at + root], limit & _ABOVE8[root])
+        else:
+            cand &= limit
+        done = depth == want
+        done &= step
+        if done.any():
+            found[at >> 3] |= done
+            np.copyto(cand, 0, where=done)
+            np.copyto(depth, 0, where=done)
+        busy = (cand != 0) | (depth != 0)
+        live = int(np.count_nonzero(busy))
+        if 2 * live <= at.size:
+            if not live:
+                break
+            keep = np.argsort(~busy, kind="stable")[: 1 << (live - 1).bit_length()]
+            at, cand, used, depth, want, limit = (
+                at[keep], cand[keep], used[keep], depth[keep], want[keep], limit[keep]
+            )
+    witness = path[:-1].reshape(count, 8)
+    witness[~found] = NO_VERTEX
+    search = find_cycle_rows if cyclic else find_path_rows
+    for s in (at[(cand != 0) | (depth != 0)] >> 3).tolist():
+        scalar = search(8, out[s].tolist(), int(length[s]), int(pool[s]))
+        if scalar is not None:
+            witness[s, : len(scalar)] = scalar
+    return witness
 
 
 def seeds_for(seed: int, ordinals: np.ndarray) -> np.ndarray:

@@ -7,8 +7,10 @@ from hypothesis import given
 
 from conftest import digraphs
 from hamlab.digraph import (
+    CycleWitness,
     Digraph,
     GraphError,
+    PathWitness,
     ParseError,
     adjacent,
     build,
@@ -184,3 +186,29 @@ def test_induced_full_vertex_set_is_identity(d: Digraph):
 @given(digraphs())
 def test_serialize_parse_identity(d: Digraph):
     assert parse(serialize(d)).out == d.out
+
+
+@pytest.mark.parametrize(
+    "witness, message",
+    [
+        (PathWitness(()), "path witness must contain at least one vertex"),
+        (PathWitness((0, 1, 0)), "path witness repeats a vertex: (0, 1, 0)"),
+        (PathWitness((1, 4)), "path vertex 4 out of range for n=4"),
+        (PathWitness((0, 4, -1)), "path vertex 4 out of range for n=4"),
+        (PathWitness((0, 1, -1)), "path vertex -1 out of range for n=4"),
+        (PathWitness((0, 1, 3, 2)), "path witness uses missing arc (1, 3)"),
+        (CycleWitness((0,)), "cycle witness needs at least two vertices"),
+        (CycleWitness((0, 1, 1)), "cycle witness repeats a vertex: (0, 1, 1)"),
+        (CycleWitness((1, 2, 0)), "cycle witness not in canonical rotation: (1, 2, 0)"),
+        (CycleWitness((0, 5, 1)), "cycle vertex 5 out of range for n=4"),
+        (CycleWitness((0, 1, 3)), "cycle witness uses missing arc (1, 3)"),
+        (CycleWitness((0, 2, 3)), "cycle witness uses missing arc (0, 2)"),
+        (CycleWitness((0, 1, 2)), "cycle witness uses missing arc (2, 0)"),
+    ],
+)
+def test_witness_validate_messages(witness, message):
+    # the directed 4-cycle 0 -> 1 -> 2 -> 3 -> 0; the first failed check is reported
+    d = gen_directed_cycle(4)
+    with pytest.raises(GraphError) as info:
+        witness.validate(d)
+    assert str(info.value) == message

@@ -560,6 +560,58 @@ def test_flipped_lemma_strong_flag_is_caught(monkeypatch):
         run_campaign(spec)
 
 
+def _another_witness(row: list[int], witness: list[int], length: int, pool: int, cyclic: bool):
+    """The lex-last path (canonical cycle) of ``length`` vertices inside ``pool``
+    other than ``witness``, or None."""
+    members = [v for v in range(8) if pool >> v & 1]
+    for vs in reversed(list(itertools.permutations(members, length))):
+        if cyclic and vs[0] != min(vs) or list(vs) == witness[:length]:
+            continue
+        steps = zip(vs, vs[1:] + vs[:1] if cyclic else vs[1:])
+        if all(row[a] >> b & 1 for a, b in steps):
+            return vs
+    return None
+
+
+def test_changed_lemma_witness_is_caught(monkeypatch):
+    true_paths = scan.first_paths
+
+    def another_first(rows, length, pool, cyclic):
+        # a valid witness, but not the lex-first one, at the first chunk's
+        # first sample that has another
+        witness = true_paths(rows, length, pool, cyclic)
+        for s in range(0, rows.shape[0], harness._LEMMA_CHUNK):
+            if witness[s, 0] == scan.NO_VERTEX:
+                continue
+            args = (rows[s].tolist(), witness[s].tolist(), int(length[s]), int(pool[s]), cyclic)
+            other = _another_witness(*args)
+            if other is not None:
+                witness[s, : len(other)] = other
+                break
+        return witness
+
+    monkeypatch.setattr(scan, "first_paths", another_first)
+    spec = CampaignSpec(claim="lemma_suite", n=8, mode="sample", samples=300, seed=5)
+    with pytest.raises(RuntimeError, match="lemma setups disagree"):
+        run_campaign(spec)
+
+
+def test_cleared_lemma_hit_flag_is_caught(monkeypatch):
+    true_setups = harness._lemma_setups
+
+    def clear_first(orders, rows, pairs):
+        base, q, hits = true_setups(orders, rows, pairs)
+        starts = hits[:, :: harness._LEMMA_CHUNK]  # a view: the chunks' first samples
+        k, j = np.argwhere(starts)[0]
+        starts[k, j] = False
+        return base, q, hits
+
+    monkeypatch.setattr(harness, "_lemma_setups", clear_first)
+    spec = CampaignSpec(claim="lemma_suite", n=8, mode="sample", samples=4096, seed=5)
+    with pytest.raises(RuntimeError, match="lemma setups disagree"):
+        run_campaign(spec)
+
+
 # --- sharding and merging ---------------------------------------------------------------
 
 

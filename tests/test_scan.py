@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hamlab import scan
+from hamlab import harness, scan
 from hamlab.conditions import holds_a_k_rows, lemma35_rows
-from hamlab.cycles import find_cycle_rows, hamiltonian_bypass_rows
+from hamlab.cycles import find_cycle_rows, find_path_rows, hamiltonian_bypass_rows
 from hamlab.digraph import strong_rows
 from hamlab.generators import (
     GiveUpError,
@@ -216,6 +216,81 @@ def test_bypass_flags_match_scalar_on_random_blocks(block):
     assert flags.shape == (rows.shape[0],)
     for i, row in enumerate(rows.tolist()):
         assert bool(flags[i]) == (hamiltonian_bypass_rows(n, row) is not None)
+
+
+# --- lockstep path search vs the scalar search -------------------------------------
+
+
+def _scalar_witness(search, rows: np.ndarray, length: np.ndarray, pool: np.ndarray) -> list:
+    """The scalar search's witnesses in ``first_paths``' layout, as lists."""
+    out = []
+    for row, k, p in zip(rows.tolist(), length.tolist(), pool.tolist()):
+        found = search(8, row + [0] * (8 - len(row)), k, p) or ()
+        out.append(list(found) + [255] * (8 - len(found)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def order4_setups(order4_rows) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Every order-4 digraph with every pool of its vertices, and the scalar
+    witnesses of every length 0..5, keyed by (cyclic, length)."""
+    rows = np.repeat(order4_rows, 16, axis=0)
+    pool = np.tile(np.arange(16, dtype=np.uint8), order4_rows.shape[0])
+    expected = {}
+    for cyclic, search in ((False, find_path_rows), (True, find_cycle_rows)):
+        for length in range(6):
+            want = np.full(rows.shape[0], length, dtype=np.uint8)
+            expected[cyclic, length] = _scalar_witness(search, rows, want, pool)
+    return rows, pool, expected
+
+
+@pytest.mark.parametrize("cap", [1, 16, 1 << 10], ids=["cap-1", "cap-16", "uncapped"])
+@pytest.mark.parametrize("cyclic", [False, True], ids=["paths", "cycles"])
+def test_first_paths_match_scalar_over_full_order4_space(monkeypatch, order4_setups, cyclic, cap):
+    # a cap of one pass sends nearly every search to the scalar route, no cap none
+    monkeypatch.setattr(scan, "_DFS_CAP", cap)
+    rows, pool, expected = order4_setups
+    for length in range(6):
+        want = np.full(rows.shape[0], length, dtype=np.uint8)
+        got = scan.first_paths(rows, want, pool, cyclic)
+        assert got.dtype == np.uint8 and got.shape == (rows.shape[0], 8)
+        assert got.tolist() == expected[cyclic, length]
+
+
+@given(row_blocks(min_n=3, max_n=8), st.integers(min_value=0, max_value=(1 << 32) - 1))
+def test_first_paths_match_scalar_on_random_blocks(block, seed: int):
+    n, rows = block
+    rng = np.random.default_rng(seed)
+    length = rng.integers(0, n + 2, rows.shape[0]).astype(np.uint8)
+    pool = rng.integers(0, 1 << n, rows.shape[0]).astype(np.uint8)
+    pool[::3] = (1 << n) - 1  # the whole vertex set, as the lemma bases use
+    small = rows.astype(np.uint8)
+    for cyclic, search in ((False, find_path_rows), (True, find_cycle_rows)):
+        got = scan.first_paths(small, length, pool, cyclic)
+        assert got.tolist() == _scalar_witness(search, small, length, pool)
+
+
+def test_in_rows_transpose_the_arcs(order4_rows):
+    rows = np.zeros((order4_rows.shape[0], 8), dtype=np.uint8)
+    rows[:, :4] = order4_rows
+    into = scan.in_rows(rows)
+    for v in range(8):
+        for w in range(8):
+            assert np.array_equal(into[:, w] >> v & 1, rows[:, v] >> w & 1)
+
+
+@pytest.mark.parametrize("top", range(3, 9))
+def test_lemma_setups_match_scalar_setups(top: int):
+    # one block of lemma samples: each sample's four (B, Q, gate) triples
+    orders, rows, _, pairs = harness._lemma_inputs(top, top, np.arange(4096, dtype=np.uint64))
+    base, q, hits = harness._lemma_setups(orders, rows, pairs)
+    assert hits.any()
+    for j, (n, row, draws) in enumerate(zip(orders.tolist(), rows.tolist(), pairs.T.tolist())):
+        for k, kind in enumerate(harness._LEMMA_KEYS):
+            length, chooser = draws[2 * k], draws[2 * k + 1]
+            got = harness._lemma_witnesses(base[k][j].tolist(), q[k][j].tolist(), kind, length, chooser)
+            want = harness._lemma_setup(n, row[:n], kind, length, chooser)
+            assert (*got, bool(hits[k, j])) == want, (top, j, kind)
 
 
 @pytest.mark.parametrize("arc_prob", [0.3, 0.5, 0.9])
