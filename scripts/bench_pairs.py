@@ -12,7 +12,8 @@ so a slow spell of a shared host reaches both sides alike.  Every run's
 metrics are printed as it ends.  Then, for each end-to-end metric of the
 parent's ``BENCHMARK.json`` (read, never written), the script prints each
 side's median and quartiles, the change's wins (ties count for neither), the
-ratio of the medians, and two verdicts:
+ratio of the medians, the median of the ratios within pairs (which a host
+drifting over the run moves less), and two verdicts:
 
 - ``bound``: ``ok`` unless the change's median is worse than the parent's
   by more than the metric's regression bound;
@@ -108,12 +109,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         p1, pm, p3 = quartiles(parent)
         c1, cm, c3 = quartiles(change)
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        # the ratio within each pair: a host that drifts over the pairs moves
+        # both medians but not the pairs' ratios
+        paired = statistics.median(c / p for p, c in zip(parent, change))
         worse = pm - cm if higher else cm - pm
         ok = worse <= metric["bound"] * pm
         gain = wins >= 0.9 * len(whole) and -worse > p3 - p1
         over += not ok
         print(f"{name} ({metric['unit']}): parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
               f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  ratio {cm / pm:.3f}  "
+              f"pair ratio {paired:.3f}  "
               f"wins {wins}/{len(whole)}  bound {metric['bound']:.0%} "
               f"{'ok' if ok else 'EXCEEDED'}  gain {'yes' if gain else 'no'}")
     if failed:
