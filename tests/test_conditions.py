@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +27,7 @@ from hamlab.conditions import (
 )
 from hamlab.digraph import Digraph, HypothesisUnmet, build, converse, from_rows
 from hamlab.generators import (
+    enum_labeled,
     gen_directed_cycle,
     gen_kstar,
     gen_kstar_minus_arc,
@@ -76,6 +80,71 @@ def test_min_degree_semidegree_exact_half_at_odd_order():
     assert min_degree_semidegree(d).holds
     assert not min_degree_semidegree(gen_directed_cycle(5)).holds
 
+
+
+def _pairs(keys, *values):
+    return tuple(dict(zip(("x", "y", *keys), v)) for v in values)
+
+
+FROZEN_WORST = [
+    # the least key wins, the first pair on a tie: (0, 3) is not the first violation
+    (woodall, gen_kstar_minus_arc(3, 3), {"x": 0, "y": 3, "sum": 4}, _pairs(
+        ("sum", "required"), (0, 1, 5, 6), (0, 2, 5, 6), (0, 3, 4, 6), (4, 3, 5, 6), (5, 3, 5, 6)
+    )),
+    (woodall, gen_two_cliques(2), {"x": 1, "y": 2, "sum": 2}, _pairs(
+        ("sum", "required"), (1, 2, 2, 3), (2, 1, 2, 3)
+    )),
+    (woodall, complete_digraph(4), None, ()),
+    (meyniel, gen_directed_cycle(4), {"x": 0, "y": 2, "sum": 4}, _pairs(
+        ("sum", "required"), (0, 2, 4, 7), (1, 3, 4, 7)
+    )),
+    (meyniel, gen_kstar_minus_arc(3, 3), {"x": 0, "y": 1, "sum": 11}, ()),
+    (meyniel, complete_digraph(4), None, ()),
+    (min_degree_semidegree, gen_directed_cycle(4), {"vertex": 0, "degree": 2}, tuple(
+        {"vertex": v, "degree": 2, "out": 1, "in": 1} for v in range(4)
+    )),
+    (min_degree_semidegree, gen_two_cliques(2), {"vertex": 1, "degree": 2}, ()),
+    (bjgl_16, gen_two_cliques(3), {"x": 1, "y": 3, "margin": -1}, _pairs(
+        ("d_x", "d_y"), (1, 3, 4, 4), (1, 4, 4, 4), (2, 3, 4, 4), (2, 4, 4, 4)
+    )),
+    (bjgl_16, gen_kstar_minus_arc(3, 3), {"x": 0, "y": 1, "margin": 0}, ()),
+    (bjgl_16, gen_directed_cycle(4), None, ()),
+    (bjgl_17, gen_kstar_minus_arc(3, 3), {"x": 0, "y": 1, "sum": 5}, _pairs(
+        ("sum", "required"), (0, 1, 5, 6), (0, 2, 5, 6), (3, 4, 5, 6), (3, 5, 5, 6)
+    )),
+    (bjgl_17, gen_directed_cycle(4), None, ()),
+    (bgy_18, gen_two_cliques(3), {"x": 1, "y": 3, "margin": -1}, _pairs(
+        ("pair_sum", "semi_sum"), (1, 3, 8, 4), (1, 4, 8, 4), (2, 3, 8, 4), (2, 4, 8, 4)
+    )),
+    (bgy_18, gen_kstar_minus_arc(3, 3), {"x": 0, "y": 1, "margin": 0}, ()),
+    (bgy_18, gen_directed_cycle(4), None, ()),
+]
+
+
+@pytest.mark.parametrize("condition, d, worst, witnesses", FROZEN_WORST)
+def test_worst_and_witnesses_frozen(condition, d, worst, witnesses):
+    verdict = condition(d)
+    assert verdict.worst == worst
+    assert verdict.witnesses == witnesses
+    assert verdict.holds == (not witnesses)
+    assert verdict.total_violations == len(witnesses)
+
+
+def test_every_verdict_frozen_over_orders_1_to_4():
+    # sha256 over the repr of every report field and of lemma35_holds (or its
+    # HypothesisUnmet text) for all 4,165 labeled digraphs of orders 1-4, in
+    # enumeration order; it pins every witness, worst entry and dict key order
+    digest = hashlib.sha256()
+    for n in range(1, 5):
+        for _, d in enum_labeled(n):
+            report = condition_report(d)
+            for f in fields(report):
+                digest.update(repr(getattr(report, f.name)).encode() + b"\n")
+            try:
+                digest.update(repr(lemma35_holds(d)).encode() + b"\n")
+            except HypothesisUnmet as exc:
+                digest.update(f"HypothesisUnmet: {exc}".encode() + b"\n")
+    assert digest.hexdigest() == "5ac53d216e90eb898223df7c5f2444f3f540a8329b5955120c7d4ab98a3e3052"
 
 # --- triple condition --------------------------------------------------------
 
