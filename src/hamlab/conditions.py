@@ -12,8 +12,8 @@ verification harness can call them in bulk without building Digraph objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .digraph import Digraph, HypothesisUnmet, bits
 
@@ -95,71 +95,77 @@ def _degree_arrays(n: int, rows: Sequence[int]) -> tuple[list[int], list[int], l
     return out_deg, in_deg, total
 
 
-def ghouila_houri(d: Digraph) -> ConditionVerdict:
-    """Total degree of every vertex at least n."""
-    viol = []
-    worst = None
-    worst_deg = None
-    for v in range(d.n):
-        deg = d.degree(v)
-        if worst_deg is None or deg < worst_deg:
-            worst, worst_deg = v, deg
-        if deg < d.n:
-            viol.append({"vertex": v, "degree": deg, "required": d.n})
+def _verdict(name: str, items: Iterable[tuple[int, Any, Any]]) -> ConditionVerdict:
+    """Fold (key, worst entry, violation or None) items into a verdict.
+
+    ``worst`` is the entry of the least key, the first one on a tie, and stays
+    None only when no item qualifies; the witnesses are the violations in item
+    order, capped at ``VIOLATION_CAP``.
+    """
+    items = list(items)
+    viol = [violation for _, _, violation in items if violation is not None]
     return ConditionVerdict(
-        name="ghouila_houri",
+        name=name,
         holds=not viol,
         witnesses=tuple(viol[:VIOLATION_CAP]),
         total_violations=len(viol),
-        worst={"vertex": worst, "degree": worst_deg},
+        worst=min(items, key=lambda item: item[0])[1] if items else None,
     )
+
+
+def _nonadjacent(d: Digraph) -> Iterator[tuple[int, int]]:
+    """The non-adjacent pairs x < y, in lexicographic order."""
+    for x in range(d.n):
+        for y in range(x + 1, d.n):
+            if not (d.out[x] >> y | d.out[y] >> x) & 1:
+                yield x, y
+
+
+def _sharing(d: Digraph) -> Iterator[tuple[int, int]]:
+    """The non-adjacent pairs x < y with a common out- or in-neighbour."""
+    for x, y in _nonadjacent(d):
+        if d.out[x] & d.out[y] or d.inn[x] & d.inn[y]:
+            yield x, y
+
+
+def ghouila_houri(d: Digraph) -> ConditionVerdict:
+    """Total degree of every vertex at least n."""
+
+    def items():
+        for v in range(d.n):
+            deg = d.degree(v)
+            bad = {"vertex": v, "degree": deg, "required": d.n} if deg < d.n else None
+            yield deg, {"vertex": v, "degree": deg}, bad
+
+    return _verdict("ghouila_houri", items())
 
 
 def woodall(d: Digraph) -> ConditionVerdict:
     """d+(x) + d-(y) >= n for every ordered pair with the arc x->y absent."""
-    viol = []
-    worst = None
-    worst_sum = None
-    for x in range(d.n):
-        for y in range(d.n):
-            if x == y or d.has_arc(x, y):
-                continue
-            s = d.out_degree(x) + d.in_degree(y)
-            if worst_sum is None or s < worst_sum:
-                worst, worst_sum = (x, y), s
-            if s < d.n:
-                viol.append({"x": x, "y": y, "sum": s, "required": d.n})
-    return ConditionVerdict(
-        name="woodall",
-        holds=not viol,
-        witnesses=tuple(viol[:VIOLATION_CAP]),
-        total_violations=len(viol),
-        worst=None if worst is None else {"x": worst[0], "y": worst[1], "sum": worst_sum},
-    )
+
+    def items():
+        for x in range(d.n):
+            for y in range(d.n):
+                if x == y or d.has_arc(x, y):
+                    continue
+                s = d.out_degree(x) + d.in_degree(y)
+                bad = {"x": x, "y": y, "sum": s, "required": d.n} if s < d.n else None
+                yield s, {"x": x, "y": y, "sum": s}, bad
+
+    return _verdict("woodall", items())
 
 
 def meyniel(d: Digraph) -> ConditionVerdict:
     """d(x) + d(y) >= 2n - 1 for every non-adjacent pair."""
     bound = 2 * d.n - 1
-    viol = []
-    worst = None
-    worst_sum = None
-    for x in range(d.n):
-        for y in range(x + 1, d.n):
-            if (d.out[x] >> y | d.out[y] >> x) & 1:
-                continue
+
+    def items():
+        for x, y in _nonadjacent(d):
             s = d.degree(x) + d.degree(y)
-            if worst_sum is None or s < worst_sum:
-                worst, worst_sum = (x, y), s
-            if s < bound:
-                viol.append({"x": x, "y": y, "sum": s, "required": bound})
-    return ConditionVerdict(
-        name="meyniel",
-        holds=not viol,
-        witnesses=tuple(viol[:VIOLATION_CAP]),
-        total_violations=len(viol),
-        worst=None if worst is None else {"x": worst[0], "y": worst[1], "sum": worst_sum},
-    )
+            bad = {"x": x, "y": y, "sum": s, "required": bound} if s < bound else None
+            yield s, {"x": x, "y": y, "sum": s}, bad
+
+    return _verdict("meyniel", items())
 
 
 def min_degree_semidegree(d: Digraph) -> ConditionVerdict:
@@ -167,23 +173,16 @@ def min_degree_semidegree(d: Digraph) -> ConditionVerdict:
 
     The half-integral comparison is done exactly as 2*min(d+, d-) >= n - 2.
     """
-    viol = []
-    worst = None
-    worst_deg = None
-    for v in range(d.n):
-        o, i = d.out_degree(v), d.in_degree(v)
-        deg = o + i
-        if worst_deg is None or deg < worst_deg:
-            worst, worst_deg = v, deg
-        if deg < d.n - 1 or 2 * min(o, i) < d.n - 2:
-            viol.append({"vertex": v, "degree": deg, "out": o, "in": i})
-    return ConditionVerdict(
-        name="min_degree_semidegree",
-        holds=not viol,
-        witnesses=tuple(viol[:VIOLATION_CAP]),
-        total_violations=len(viol),
-        worst={"vertex": worst, "degree": worst_deg},
-    )
+
+    def items():
+        for v in range(d.n):
+            o, i = d.out_degree(v), d.in_degree(v)
+            deg = o + i
+            low = deg < d.n - 1 or 2 * min(o, i) < d.n - 2
+            bad = {"vertex": v, "degree": deg, "out": o, "in": i} if low else None
+            yield deg, {"vertex": v, "degree": deg}, bad
+
+    return _verdict("min_degree_semidegree", items())
 
 
 def _triple_clauses(d: Digraph, z_may_equal_y: bool):
@@ -280,87 +279,46 @@ def bjgl_16(d: Digraph) -> ConditionVerdict:
     """min degree >= n-1 and pair sum >= 2n-1 for non-adjacent pairs with a
     common in-neighbour."""
     bound = 2 * d.n - 1
-    viol = []
-    worst = None
-    worst_key = None
-    for x in range(d.n):
-        for y in range(x + 1, d.n):
-            if (d.out[x] >> y | d.out[y] >> x) & 1 or not d.inn[x] & d.inn[y]:
+
+    def items():
+        for x, y in _nonadjacent(d):
+            if not d.inn[x] & d.inn[y]:
                 continue
             dx, dy = d.degree(x), d.degree(y)
             key = min(min(dx, dy) - (d.n - 1), dx + dy - bound)
-            if worst_key is None or key < worst_key:
-                worst, worst_key = (x, y), key
-            if min(dx, dy) < d.n - 1 or dx + dy < bound:
-                viol.append({"x": x, "y": y, "d_x": dx, "d_y": dy})
-    return ConditionVerdict(
-        name="bjgl_16",
-        holds=not viol,
-        witnesses=tuple(viol[:VIOLATION_CAP]),
-        total_violations=len(viol),
-        worst=None if worst is None else {"x": worst[0], "y": worst[1], "margin": worst_key},
-    )
+            bad = {"x": x, "y": y, "d_x": dx, "d_y": dy} if key < 0 else None
+            yield key, {"x": x, "y": y, "margin": key}, bad
+
+    return _verdict("bjgl_16", items())
 
 
 def bjgl_17(d: Digraph) -> ConditionVerdict:
     """min(d+(x)+d-(y), d-(x)+d+(y)) >= n for non-adjacent pairs with a common
     out-neighbour or a common in-neighbour."""
-    viol = []
-    worst = None
-    worst_sum = None
-    for x in range(d.n):
-        for y in range(x + 1, d.n):
-            if (d.out[x] >> y | d.out[y] >> x) & 1:
-                continue
-            if not (d.out[x] & d.out[y] or d.inn[x] & d.inn[y]):
-                continue
-            s = min(
-                d.out_degree(x) + d.in_degree(y),
-                d.in_degree(x) + d.out_degree(y),
-            )
-            if worst_sum is None or s < worst_sum:
-                worst, worst_sum = (x, y), s
-            if s < d.n:
-                viol.append({"x": x, "y": y, "sum": s, "required": d.n})
-    return ConditionVerdict(
-        name="bjgl_17",
-        holds=not viol,
-        witnesses=tuple(viol[:VIOLATION_CAP]),
-        total_violations=len(viol),
-        worst=None if worst is None else {"x": worst[0], "y": worst[1], "sum": worst_sum},
-    )
+
+    def items():
+        for x, y in _sharing(d):
+            s = min(d.out_degree(x) + d.in_degree(y), d.in_degree(x) + d.out_degree(y))
+            bad = {"x": x, "y": y, "sum": s, "required": d.n} if s < d.n else None
+            yield s, {"x": x, "y": y, "sum": s}, bad
+
+    return _verdict("bjgl_17", items())
 
 
 def bgy_18(d: Digraph) -> ConditionVerdict:
     """Pair sum >= 2n-1 and min semi-sum >= n-1, for non-adjacent pairs with a
     common out-neighbour or a common in-neighbour."""
     bound = 2 * d.n - 1
-    viol = []
-    worst = None
-    worst_key = None
-    for x in range(d.n):
-        for y in range(x + 1, d.n):
-            if (d.out[x] >> y | d.out[y] >> x) & 1:
-                continue
-            if not (d.out[x] & d.out[y] or d.inn[x] & d.inn[y]):
-                continue
+
+    def items():
+        for x, y in _sharing(d):
             pair = d.degree(x) + d.degree(y)
-            semi = min(
-                d.out_degree(x) + d.in_degree(y),
-                d.in_degree(x) + d.out_degree(y),
-            )
+            semi = min(d.out_degree(x) + d.in_degree(y), d.in_degree(x) + d.out_degree(y))
             key = min(pair - bound, semi - (d.n - 1))
-            if worst_key is None or key < worst_key:
-                worst, worst_key = (x, y), key
-            if pair < bound or semi < d.n - 1:
-                viol.append({"x": x, "y": y, "pair_sum": pair, "semi_sum": semi})
-    return ConditionVerdict(
-        name="bgy_18",
-        holds=not viol,
-        witnesses=tuple(viol[:VIOLATION_CAP]),
-        total_violations=len(viol),
-        worst=None if worst is None else {"x": worst[0], "y": worst[1], "margin": worst_key},
-    )
+            bad = {"x": x, "y": y, "pair_sum": pair, "semi_sum": semi} if key < 0 else None
+            yield key, {"x": x, "y": y, "margin": key}, bad
+
+    return _verdict("bgy_18", items())
 
 
 def lemma35_holds(d: Digraph) -> ConditionVerdict:
@@ -438,17 +396,7 @@ class ConditionReport:
     ak_margin: AkMargin
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "ghouila_houri": self.ghouila_houri.to_json(),
-            "woodall": self.woodall.to_json(),
-            "meyniel": self.meyniel.to_json(),
-            "min_degree_semidegree": self.min_degree_semidegree.to_json(),
-            "a0": self.a0.to_json(),
-            "bjgl_16": self.bjgl_16.to_json(),
-            "bjgl_17": self.bjgl_17.to_json(),
-            "bgy_18": self.bgy_18.to_json(),
-            "ak_margin": self.ak_margin.to_json(),
-        }
+        return {f.name: getattr(self, f.name).to_json() for f in fields(self)}
 
 
 def condition_report(d: Digraph) -> ConditionReport:
