@@ -363,11 +363,9 @@ def _rooted_layers(n: int) -> tuple:
 
 def _in_masks(n: int, small: np.ndarray) -> np.ndarray:
     """(n, B) uint8 in-neighbour masks of uint8 rows: bit v of ``[w]`` set when v→w."""
-    heads = np.arange(n, dtype=np.uint8)[:, None]
-    into = np.zeros((n, small.shape[0]), dtype=np.uint8)
-    for v in range(n):
-        into |= ((small[:, v] >> heads) & 1) << v
-    return into
+    padded = np.zeros((small.shape[0], 8), dtype=np.uint8)
+    padded[:, :n] = small
+    return np.ascontiguousarray(in_rows(padded)[:, :n].T)
 
 
 def _extend(ends: np.ndarray, into: np.ndarray, steps: list, width: int) -> np.ndarray:
