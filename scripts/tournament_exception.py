@@ -4,51 +4,36 @@
 Usage:
     python3 scripts/tournament_exception.py [--n 5]
 
-Enumerates all tournaments of the chosen order, keeps the strong ones (on a
-tournament the triple condition is vacuous, so strength is the whole
-hypothesis), and groups the bypass-free survivors into isomorphism classes.
-For each class the script prints the member count, the arcs, degrees, and the
-cycle spectrum.
+Runs the exhaustive ``bypass_claim`` campaign at the chosen order (4 to 8;
+order 7 takes seconds, order 8 minutes).  On a tournament the triple
+condition is vacuous, so strength is the whole hypothesis, and the
+campaign's exception classes are the isomorphism classes of the strong
+tournaments without a Hamiltonian bypass, each represented by its first
+member in enumeration order.  For each class the script prints the member
+count, the arcs, degrees, and the cycle spectrum.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
-from hamlab.cycles import cycle_spectrum, hamiltonian_bypass
-from hamlab.digraph import Digraph, degrees, is_strong, isomorphic_small, serialize
-from hamlab.generators import enum_tournaments
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    n: int = 5
+from hamlab.cycles import cycle_spectrum
+from hamlab.digraph import degrees, parse
+from hamlab.harness import CampaignError, CampaignSpec, run_campaign
 
 
-def scan(config: ScanConfig) -> int:
-    classes: list[tuple[Digraph, int]] = []
-    strong_count = 0
-    total = 0
-    for t in enum_tournaments(config.n):
-        total += 1
-        if not is_strong(t):
-            continue
-        strong_count += 1
-        if hamiltonian_bypass(t) is not None:
-            continue
-        for i, (rep, count) in enumerate(classes):
-            if isomorphic_small(rep, t):
-                classes[i] = (rep, count + 1)
-                break
-        else:
-            classes.append((t, 1))
-
-    print(f"order {config.n}: {total} tournaments, {strong_count} strong, "
-          f"{len(classes)} bypass-free classes")
-    for rep, count in classes:
-        print(f"\nclass with {count} labeled members:")
-        for line in serialize(rep).strip().splitlines():
+def scan(n: int) -> int:
+    try:
+        result = run_campaign(CampaignSpec("bypass_claim", n), allow_long=True)
+    except CampaignError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"order {n}: {result.scanned} tournaments, {result.strong} strong, "
+          f"{len(result.exceptions)} bypass-free classes")
+    for exc_class in result.exceptions:
+        rep = parse(exc_class.digraph)
+        print(f"\nclass with {exc_class.count} labeled members:")
+        for line in exc_class.digraph.strip().splitlines():
             print(f"  {line}")
         degs = ", ".join(
             f"v{v}: out {degrees(rep, v)[0]} in {degrees(rep, v)[1]}" for v in range(rep.n)
@@ -62,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=5)
     args = parser.parse_args(argv)
-    return scan(ScanConfig(n=args.n))
+    return scan(args.n)
 
 
 if __name__ == "__main__":
