@@ -312,7 +312,7 @@ class ExceptionClass:
         return cls(int(data["index"]), str(data["digraph"]), int(data["count"]))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CampaignResult:
     """Outcome of one campaign run (possibly partial, possibly one shard).
 
@@ -330,23 +330,7 @@ class CampaignResult:
     detail: dict[str, Any]
     cursor: Optional[int]
     complete: bool
-    elapsed_ms: int
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CampaignResult):
-            return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.scanned == other.scanned
-            and self.strong == other.strong
-            and self.hypothesis_hits == other.hypothesis_hits
-            and self.verified == other.verified
-            and self.counterexamples == other.counterexamples
-            and self.exceptions == other.exceptions
-            and self.detail == other.detail
-            and self.cursor == other.cursor
-            and self.complete == other.complete
-        )
+    elapsed_ms: int = field(compare=False)
 
     def to_json(self) -> dict[str, Any]:
         if self.complete or self.cursor is None:
