@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
-"""Print one sha256 per campaign of a fixed set, to check results bit for bit.
+"""Print two sha256 per campaign of a fixed set, to check results bit for bit.
 
 Usage:
     PYTHONPATH=src python3 scripts/result_hashes.py > hashes.txt
 
-Each hash covers a campaign's result JSON without ``elapsed_ms`` plus its
-final checkpoint without ``elapsed_ms``, so it changes whenever a count, a
-counterexample (order and detail included), an exception class or a cursor
-does.  Two trees hold the same results when the outputs of this script on
+Each campaign runs once with a checkpoint file, then again from that final
+checkpoint to completion (``stop_after=None``).  The first hash covers the
+first run's result JSON and the second the resumed run's, both without
+``elapsed_ms`` and with their keys in emitted order, so a line changes
+whenever a count, a counterexample (order and detail included), an
+exception class, a cursor or a key order does, or when a resume from the
+saved state does not reach the same result.  Neither hash reads the
+checkpoint's bytes, so two trees whose checkpoint formats differ can still
+be compared: they hold the same results when the outputs of this script on
 both, each run with its own ``src`` on ``PYTHONPATH``, are equal under
 ``diff``.  The set takes about 4 minutes on one core and peaks near
 400 MB, most of it the lowered-slack counterexamples.
@@ -34,7 +39,7 @@ import tempfile
 from typing import Optional
 
 from hamlab import harness
-from hamlab.harness import CampaignSpec, run_campaign
+from hamlab.harness import CampaignResult, CampaignSpec, run_campaign
 
 #: (spec, stop_after, slack override or None)
 Entry = tuple[CampaignSpec, Optional[int], Optional[int]]
@@ -78,8 +83,15 @@ def label(entry: Entry) -> str:
     return text
 
 
-def digest(entry: Entry) -> str:
-    """sha256 of the campaign's result and final checkpoint, wall times left out."""
+def _sha(result: CampaignResult) -> str:
+    data = result.to_json()
+    del data["elapsed_ms"]
+    return hashlib.sha256(json.dumps(data, separators=(",", ":")).encode()).hexdigest()
+
+
+def digests(entry: Entry) -> tuple[str, str]:
+    """sha256 of the campaign's result and of the result resumed from its final
+    checkpoint, wall times left out."""
     spec, stop_after, slack = entry
     saved = dict(harness._CLAIM_SLACK)
     if slack is not None:
@@ -88,20 +100,18 @@ def digest(entry: Entry) -> str:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "checkpoint.json")
             spec = CampaignSpec(**spec.identity(), checkpoint_path=path)
-            result = run_campaign(spec, stop_after=stop_after, allow_long=True).to_json()
-            with open(path, encoding="utf-8") as fh:
-                checkpoint = json.load(fh)
+            first = run_campaign(spec, stop_after=stop_after, allow_long=True)
+            resumed = run_campaign(spec, allow_long=True)
     finally:
         harness._CLAIM_SLACK.clear()
         harness._CLAIM_SLACK.update(saved)
-    del result["elapsed_ms"], checkpoint["elapsed_ms"]
-    blob = json.dumps([result, checkpoint], sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return _sha(first), _sha(resumed)
 
 
 def main() -> int:
     for entry in campaigns():
-        print(f"{digest(entry)}  {label(entry)}", flush=True)
+        first, resumed = digests(entry)
+        print(f"{first}  {resumed}  {label(entry)}", flush=True)
     return 0
 
 
