@@ -39,7 +39,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -93,10 +93,11 @@ _CLAIM_SLACK = {"thm15": 0, "thm110": 0, "conj19": 3, "bypass_claim": 0, "lemma3
 #: block width for vectorized screening
 _BLOCK = 1 << 15
 
-#: block width over a tournament space; the narrower block keeps its
-#: checkpoint cadence and its memory peak (order 6: 1.2 MB, against 7.3 MB at
-#: ``_BLOCK`` and 5.5 MB for a 1/1021 slice of the labeled space)
-_TOURNAMENT_BLOCK = 1 << 12
+#: block width over a tournament space and of the lemma suite; over
+#: tournaments the narrower block keeps its checkpoint cadence and its memory
+#: peak (order 6: 1.2 MB, against 7.3 MB at ``_BLOCK`` and 5.5 MB for a
+#: 1/1021 slice of the labeled space)
+_SMALL_BLOCK = 1 << 12
 
 #: exhaustive digraph space needs an explicit opt-in beyond this order
 _FREE_DIGRAPH_ORDER = 5
@@ -198,16 +199,7 @@ class CampaignSpec:
             )
 
     def identity(self) -> dict[str, Any]:
-        return {
-            "claim": self.claim,
-            "n": self.n,
-            "mode": self.mode,
-            "shard": self.shard,
-            "shards": self.shards,
-            "samples": self.samples,
-            "arc_prob": self.arc_prob,
-            "seed": self.seed,
-        }
+        return {key: getattr(self, key) for key in _IDENTITY}
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.identity(), sort_keys=True, separators=(",", ":"))
@@ -216,11 +208,14 @@ class CampaignSpec:
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "CampaignSpec":
         """Inverse of ``identity``; other keys of ``data`` are ignored."""
-        keys = list(cls(claim="thm15", n=4).identity())  # read off a default spec
-        missing = [k for k in keys if k not in data]
+        missing = [k for k in _IDENTITY if k not in data]
         if missing:
             raise CampaignError(f"campaign spec lacks {', '.join(missing)}")
-        return cls(**{k: data[k] for k in keys})
+        return cls(**{k: data[k] for k in _IDENTITY})
+
+
+#: the identity fields of a spec, in declaration order
+_IDENTITY = tuple(f.name for f in fields(CampaignSpec) if f.name != "checkpoint_path")
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +352,10 @@ class CampaignResult:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "CampaignResult":
-        """Inverse of ``to_json``; ``checkpoint_path`` is not part of a result."""
+        """Inverse of ``to_json``; ``checkpoint_path`` is not part of a result.
+
+        A complete result has no cursor, as ``to_json`` writes none.
+        """
         cursor = data["cursor"]
         if isinstance(cursor, dict):  # an exhaustive scan's EnumerationCursor
             cursor = cursor["index"]
@@ -370,7 +368,7 @@ class CampaignResult:
             counterexamples=tuple(Counterexample.from_json(c) for c in data["counterexamples"]),
             exceptions=tuple(ExceptionClass.from_json(e) for e in data["exceptions"]),
             detail=data["detail"],
-            cursor=cursor,
+            cursor=None if data["complete"] else cursor,
             complete=data["complete"],
             elapsed_ms=data.get("elapsed_ms", 0),  # committed results leave it out
         )
@@ -445,18 +443,30 @@ def _fold_exception(
 # checkpointing
 
 
-def checkpoint_save(path: str, spec: CampaignSpec, state: dict[str, Any]) -> None:
-    """Atomically persist partial campaign state next to its spec fingerprint."""
-    payload = {"fingerprint": spec.fingerprint(), "spec": spec.identity(), **state}
+def checkpoint_save(path: str, result: CampaignResult, cursor: int) -> None:
+    """Atomically persist a partial result with its spec fingerprint.
+
+    The file is the result JSON plus ``fingerprint``, with ``cursor`` holding
+    the next raw position of the shard (the result JSON's cursor is null once
+    complete, and an ``EnumerationCursor`` for a partial exhaustive scan).
+    """
+    payload = {"fingerprint": result.spec.fingerprint(), **result.to_json(), "cursor": cursor}
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def checkpoint_load(path: str, spec: CampaignSpec) -> dict[str, Any]:
-    """Read checkpoint state for ``spec``; reject other specs and corrupt files."""
+def checkpoint_load(path: str, spec: CampaignSpec) -> tuple[CampaignResult, int]:
+    """Read the partial result and next raw position saved for ``spec``.
+
+    Rejects files of other specs and corrupt or inconsistent ones, including
+    checkpoints in any other format.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -474,30 +484,32 @@ def checkpoint_load(path: str, spec: CampaignSpec) -> dict[str, Any]:
         raise CheckpointError(
             f"checkpoint {path} belongs to a different campaign spec"
         )
-    required = ("cursor", "scanned", "strong", "hypothesis_hits", "verified")
-    missing = [key for key in required if key not in payload]
-    if missing:
-        raise CheckpointError(f"corrupt checkpoint {path}: missing {', '.join(missing)}")
-    for key in required:
-        value = payload[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise CheckpointError(
-                f"corrupt checkpoint {path}: {key} must be a non-negative integer"
-            )
+    try:
+        result = CampaignResult.from_json(payload)
+        for e in result.exceptions:  # a resumed run folds new members into them
+            parse(e.digraph)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint {path}: bad entry ({exc!r})") from exc
     cursor = payload["cursor"]
+    counters = (
+        cursor, result.scanned, result.strong, result.hypothesis_hits, result.verified,
+        result.elapsed_ms,
+    )
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in counters):
+        raise CheckpointError(
+            f"corrupt checkpoint {path}: counters, cursor and elapsed_ms must be "
+            "non-negative integers"
+        )
     if cursor % spec.shards != spec.shard or cursor >= _space_size(spec) + spec.shards:
         raise CheckpointError(
             f"corrupt checkpoint {path}: cursor {cursor} is not a position of "
             f"shard {spec.shard} of {spec.shards}"
         )
-    counterexamples = payload.get("counterexamples", [])
-    if not isinstance(counterexamples, list):
-        raise CheckpointError(f"corrupt checkpoint {path}: counterexamples is not a list")
-    if payload["verified"] + len(counterexamples) > payload["hypothesis_hits"]:
+    if result.verified + len(result.counterexamples) > result.hypothesis_hits:
         raise CheckpointError(
             f"corrupt checkpoint {path}: verified + counterexamples exceeds hits"
         )
-    return payload
+    return result, cursor
 
 
 # ---------------------------------------------------------------------------
@@ -505,51 +517,48 @@ def checkpoint_load(path: str, spec: CampaignSpec) -> dict[str, Any]:
 
 
 class _Tally:
-    """Mutable accumulator threaded through one campaign run."""
+    """Mutable accumulator threaded through one campaign run.
 
-    def __init__(self, spec: CampaignSpec) -> None:
+    It starts empty at the shard's first position, or from a saved partial
+    result and the next raw position (``checkpoint_load``).
+    """
+
+    def __init__(
+        self, spec: CampaignSpec, saved: Optional[tuple[CampaignResult, int]] = None
+    ) -> None:
+        if saved is None:
+            detail = _fresh_detail(spec.claim)
+            saved = CampaignResult(spec, 0, 0, 0, 0, (), (), detail, None, False, 0), spec.shard
+        result, self.cursor = saved
         self.spec = spec
-        self.scanned = 0
-        self.strong = 0
-        self.hits = 0
-        self.verified = 0
-        self.counterexamples: list[Counterexample] = []
-        self.exception_classes: list[tuple[int, Digraph, int]] = []
-        self.detail: dict[str, Any] = _fresh_detail(spec.claim)
-        self.cursor = spec.shard
-        self.base_elapsed = 0
-
-    def load(self, payload: dict[str, Any]) -> None:
-        self.scanned = int(payload["scanned"])
-        self.strong = int(payload["strong"])
-        self.hits = int(payload["hypothesis_hits"])
-        self.verified = int(payload["verified"])
-        self.counterexamples = [
-            Counterexample.from_json(c) for c in payload.get("counterexamples", [])
-        ]
+        self.scanned = result.scanned
+        self.strong = result.strong
+        self.hits = result.hypothesis_hits
+        self.verified = result.verified
+        self.counterexamples = list(result.counterexamples)
         self.exception_classes = [
-            (int(e["index"]), parse(e["digraph"]), int(e["count"]))
-            for e in payload.get("exceptions", [])
+            (e.index, parse(e.digraph), e.count) for e in result.exceptions
         ]
-        self.detail = payload.get("detail") or _fresh_detail(self.spec.claim)
-        self.cursor = int(payload["cursor"])
-        self.base_elapsed = int(payload.get("elapsed_ms", 0))
+        self.detail = result.detail
+        self.base_elapsed = result.elapsed_ms
 
-    def state(self, elapsed_ms: int) -> dict[str, Any]:
-        return {
-            "cursor": self.cursor,
-            "scanned": self.scanned,
-            "strong": self.strong,
-            "hypothesis_hits": self.hits,
-            "verified": self.verified,
-            "counterexamples": [c.to_json() for c in self.counterexamples],
-            "exceptions": [
-                {"index": i, "digraph": serialize(d), "count": c}
-                for i, d, c in self.exception_classes
-            ],
-            "detail": self.detail,
-            "elapsed_ms": elapsed_ms,
-        }
+    def result(self, elapsed_ms: int) -> CampaignResult:
+        complete = self.cursor >= _space_size(self.spec)
+        return CampaignResult(
+            spec=self.spec,
+            scanned=self.scanned,
+            strong=self.strong,
+            hypothesis_hits=self.hits,
+            verified=self.verified,
+            counterexamples=tuple(self.counterexamples),
+            exceptions=tuple(
+                ExceptionClass(i, serialize(d), c) for i, d, c in self.exception_classes
+            ),
+            detail=self.detail,
+            cursor=None if complete else self.cursor,
+            complete=complete,
+            elapsed_ms=elapsed_ms,
+        )
 
     def note_exception(self, index: int, d: Digraph) -> None:
         _fold_exception(self.exception_classes, index, d, 1)
@@ -654,19 +663,15 @@ def _vector_gaps(claim: str, n: int, rows: np.ndarray) -> np.ndarray:
 
 
 def _record_hit(
-    tally: _Tally,
-    claim: str,
-    n: int,
-    rows: list[int],
-    index: int,
-    extra: dict[str, Any],
-    gaps: Optional[int] = None,
+    tally: _Tally, spec: CampaignSpec, rows: list[int], index: int, gaps: Optional[int] = None
 ) -> None:
     """Confirm one screened hit with scalar predicates and judge its conclusion.
 
     ``gaps`` is the vector verdict on the hit (see ``_vector_gaps``), if it
-    has one; the scalar verdict must agree with it.
+    has one; the scalar verdict must agree with it.  A sampled counterexample
+    carries its sample ordinal and the stream seed that regenerates it.
     """
+    claim, n = spec.claim, spec.n
     _confirm_hit(n, rows, _CLAIM_SLACK[claim])
     ok, branch, failure, missing = _judge(claim, n, rows)
     if gaps is not None and missing != gaps:
@@ -679,23 +684,20 @@ def _record_hit(
         if branch == "exception_members":
             tally.note_exception(index, from_rows(n, rows))
     else:
-        detail = {"claim": claim, **extra, **failure}
+        detail: dict[str, Any] = {"claim": claim}
+        if spec.mode == "sample":
+            detail.update(sample=index, stream_seed=derived_seed(spec.seed, index))
+        detail.update(failure)
         tally.counterexamples.append(
             Counterexample(index, serialize(from_rows(n, rows)), detail)
         )
 
 
 def _record_block(
-    tally: _Tally,
-    claim: str,
-    n: int,
-    rows: np.ndarray,
-    indices: np.ndarray,
-    extra: Callable[[int], dict[str, Any]],
+    tally: _Tally, spec: CampaignSpec, rows: np.ndarray, indices: np.ndarray
 ) -> None:
     """Confirm and judge one block of screened hits at positions ``indices``.
 
-    ``extra(index)`` is the detail a counterexample at that position carries.
     Up to order ``scan.HIT_MAX_N`` every hit is re-confirmed by
     ``scan.confirm_flags`` and judged by the vector kernels; the hits they
     verify are counted at once.  The scalar route (``_record_hit``) takes
@@ -704,6 +706,7 @@ def _record_block(
     """
     if not indices.size:
         return
+    claim, n = spec.claim, spec.n
     scalar = np.ones(indices.size, dtype=bool)
     gaps: list[Optional[int]] = [None] * indices.size
     if n <= scan.HIT_MAX_N:
@@ -719,13 +722,7 @@ def _record_block(
             tally.detail["pre_hamiltonian"] += settled
         gaps = found.tolist()
     for i in np.flatnonzero(scalar).tolist():
-        index = int(indices[i])
-        row_list = [int(r) for r in rows[i]]
-        _record_hit(tally, claim, n, row_list, index, extra(index), gaps[i])
-
-
-def _no_extra(index: int) -> dict[str, Any]:
-    return {}
+        _record_hit(tally, spec, [int(r) for r in rows[i]], int(indices[i]), gaps[i])
 
 
 Progress = Callable[[int, int], None]
@@ -744,7 +741,8 @@ def run_campaign(
     resume paths); the returned result is then marked incomplete and carries
     the cursor.  ``allow_long`` opts into space sizes that take minutes or
     more.  ``progress`` receives (items done in shard, shard total) after
-    every block.
+    every block.  With a checkpoint path, the partial result is saved after
+    every block and the returned one at the end.
     """
     if spec.mode == "exhaustive" and not allow_long:
         if spec.claim in _DIGRAPH_CLAIMS and spec.n > _FREE_DIGRAPH_ORDER:
@@ -758,79 +756,27 @@ def run_campaign(
                 "pass allow_long to opt in"
             )
     started = time.monotonic()
-    tally = _Tally(spec)
+    saved = None
     if spec.checkpoint_path and os.path.exists(spec.checkpoint_path):
-        payload = checkpoint_load(spec.checkpoint_path, spec)
-        try:
-            tally.load(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"corrupt checkpoint {spec.checkpoint_path}: bad entry ({exc!r})"
-            ) from exc
+        saved = checkpoint_load(spec.checkpoint_path, spec)
+    tally = _Tally(spec, saved)
 
     def elapsed_ms() -> int:
         return tally.base_elapsed + int((time.monotonic() - started) * 1000)
 
     def tick() -> None:
         if spec.checkpoint_path:
-            checkpoint_save(spec.checkpoint_path, spec, tally.state(elapsed_ms()))
+            checkpoint_save(spec.checkpoint_path, tally.result(elapsed_ms()), tally.cursor)
         if progress is not None:
             progress(tally.scanned, _shard_total(spec))
 
-    if spec.claim == "lemma_suite":
-        _run_lemma_suite(spec, tally, stop_after, tick)
-    else:
-        _run_space(spec, tally, stop_after, tick)
-
-    space = _space_size(spec)
-    complete = tally.cursor >= space
-    if complete and tally.verified + len(tally.counterexamples) != tally.hits:
+    _run_space(spec, tally, stop_after, tick)
+    result = tally.result(elapsed_ms())
+    if result.complete and tally.verified + len(tally.counterexamples) != tally.hits:
         raise RuntimeError("campaign bookkeeping broke: verified + failures != hits")
-    result = CampaignResult(
-        spec=spec,
-        scanned=tally.scanned,
-        strong=tally.strong,
-        hypothesis_hits=tally.hits,
-        verified=tally.verified,
-        counterexamples=tuple(tally.counterexamples),
-        exceptions=tuple(
-            ExceptionClass(i, serialize(d), c) for i, d, c in tally.exception_classes
-        ),
-        detail=tally.detail,
-        cursor=None if complete else tally.cursor,
-        complete=complete,
-        elapsed_ms=elapsed_ms(),
-    )
     if spec.checkpoint_path:
-        checkpoint_save(spec.checkpoint_path, spec, tally.state(result.elapsed_ms))
+        checkpoint_save(spec.checkpoint_path, result, tally.cursor)
     return result
-
-
-def _block_positions(
-    spec: CampaignSpec, tally: _Tally, stop_after: Optional[int], width: int
-):
-    """Yield numpy position blocks for this shard, honoring stop_after.
-
-    The cursor moves past a block before the block is handed out, so the
-    consumer's end-of-block checkpoint always records the next unprocessed
-    position (an abandoned block is never persisted: checkpoints are written
-    only after the block's tallies are in).
-    """
-    space = _space_size(spec)
-    done = 0
-    while tally.cursor < space:
-        take = width
-        if stop_after is not None:
-            if done >= stop_after:
-                return
-            take = min(take, stop_after - done)
-        hi = min(space, tally.cursor + take * spec.shards)
-        positions = np.arange(tally.cursor, hi, spec.shards, dtype=np.uint64)
-        if positions.size == 0:
-            return
-        done += positions.size
-        tally.cursor = int(positions[-1]) + spec.shards
-        yield positions
 
 
 def _strong_rows_at(spec: CampaignSpec, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -859,36 +805,49 @@ def _strong_rows_at(spec: CampaignSpec, positions: np.ndarray) -> tuple[np.ndarr
 def _run_space(
     spec: CampaignSpec, tally: _Tally, stop_after: Optional[int], tick: Callable[[], None]
 ) -> None:
-    """Screen the campaign's space block by block and record each block's hits."""
-    slack = _CLAIM_SLACK[spec.claim]
-    n = spec.n
+    """Run the shard's positions block by block, honoring stop_after.
 
-    def sample_extra(j: int) -> dict[str, Any]:
-        return {"sample": j, "stream_seed": derived_seed(spec.seed, j)}
-
-    extra = sample_extra if spec.mode == "sample" else _no_extra
+    A block is screened and its hits recorded (``_screen_block``), or, for
+    the lemma suite, its lemma setups found and their hits run
+    (``_lemma_block``).  Tournament and lemma blocks are ``_SMALL_BLOCK``
+    wide, the others ``_BLOCK``.  The cursor moves past a block before the
+    block runs, so the checkpoint ``tick`` writes after it records the next
+    unprocessed position (an abandoned block is never persisted: checkpoints
+    are written only after the block's tallies are in).
+    """
+    lemmas = spec.claim == "lemma_suite"
+    body = _lemma_block if lemmas else _screen_block
     tournaments = spec.claim == "bypass_claim" and spec.mode == "exhaustive"
-    width = _TOURNAMENT_BLOCK if tournaments else _BLOCK
-    for positions in _block_positions(spec, tally, stop_after, width):
-        rows, kept = _strong_rows_at(spec, positions)
-        tally.strong += kept.size
-        if kept.size:
-            passing = scan.triple_condition_flags(n, rows, slack)
-            _record_block(tally, spec.claim, n, rows[passing], kept[passing], extra)
+    width = _SMALL_BLOCK if lemmas or tournaments else _BLOCK
+    space, done = _space_size(spec), 0
+    while tally.cursor < space and (stop_after is None or done < stop_after):
+        take = width if stop_after is None else min(width, stop_after - done)
+        hi = min(space, tally.cursor + take * spec.shards)
+        positions = np.arange(tally.cursor, hi, spec.shards, dtype=np.uint64)
+        done += positions.size
+        tally.cursor = int(positions[-1]) + spec.shards
+        body(spec, tally, positions)
         tally.scanned += positions.size
         tick()
+
+
+def _screen_block(spec: CampaignSpec, tally: _Tally, positions: np.ndarray) -> None:
+    """Screen one block for strong digraphs and the triple condition, and record its hits."""
+    rows, kept = _strong_rows_at(spec, positions)
+    tally.strong += kept.size
+    if kept.size:
+        passing = scan.triple_condition_flags(spec.n, rows, _CLAIM_SLACK[spec.claim])
+        _record_block(tally, spec, rows[passing], kept[passing])
 
 
 # ---------------------------------------------------------------------------
 # lemma instance suite
 
 
-def _run_lemma_suite(
-    spec: CampaignSpec, tally: _Tally, stop_after: Optional[int], tick: Callable[[], None]
-) -> None:
-    """Screen blocks of seeded random digraphs for the four lemma setups.
+def _lemma_block(spec: CampaignSpec, tally: _Tally, ordinals: np.ndarray) -> None:
+    """Screen one block of seeded random digraphs for the four lemma setups.
 
-    Each block's inputs (order, rows, strong flag, draws) come from numpy in
+    The block's inputs (order, rows, strong flag, draws) come from numpy in
     one pass (``_lemma_inputs``), and so do its setups: every base B, path Q
     and gate (``_lemma_setups``).  Only the samples with a hit reach Python,
     in ordinal order and ``_LEMMA_CHUNK`` at a time, where the unchanged
@@ -896,43 +855,40 @@ def _run_lemma_suite(
     what the suite verifies.  The first sample of every chunk is screened
     again by the scalar ``strong_rows`` and set up again by the scalar
     ``_lemma_setup``, and the campaign raises if either differs from the
-    vector route.  Checkpoints fall after every block of 4096 samples.
+    vector route.
     """
-    for ordinals in _block_positions(spec, tally, stop_after, 1 << 12):
-        orders, rows, strong, pairs = _lemma_inputs(spec.seed, spec.n, ordinals)
-        tally.strong += int(strong.sum())
-        base, q, hits = _lemma_setups(orders, rows, pairs)
-        for lo in range(0, ordinals.size, _LEMMA_CHUNK):
-            hi = lo + _LEMMA_CHUNK
-            n = int(orders[lo])
-            first = rows[lo, :n].tolist()
-            if strong_rows(n, first) != strong[lo]:
-                raise RuntimeError("vector and scalar strong screens disagree on a lemma sample")
-            draws = pairs[:, lo].tolist()
+    orders, rows, strong, pairs = _lemma_inputs(spec.seed, spec.n, ordinals)
+    tally.strong += int(strong.sum())
+    base, q, hits = _lemma_setups(orders, rows, pairs)
+    for lo in range(0, ordinals.size, _LEMMA_CHUNK):
+        hi = lo + _LEMMA_CHUNK
+        n = int(orders[lo])
+        first = rows[lo, :n].tolist()
+        if strong_rows(n, first) != strong[lo]:
+            raise RuntimeError("vector and scalar strong screens disagree on a lemma sample")
+        draws = pairs[:, lo].tolist()
+        for k, kind in enumerate(_LEMMA_KEYS):
+            length, chooser = draws[2 * k], draws[2 * k + 1]
+            got = _lemma_witnesses(base[k][lo].tolist(), q[k][lo].tolist(), kind, length, chooser)
+            if _lemma_setup(n, first, kind, length, chooser) != (*got, bool(hits[k, lo])):
+                raise RuntimeError("vector and scalar lemma setups disagree")
+        picked = lo + np.flatnonzero(hits[:, lo:hi].any(axis=0))
+        chunk = zip(
+            ordinals[picked].tolist(),
+            orders[picked].tolist(),
+            rows[picked].tolist(),
+            pairs[:, picked].T.tolist(),
+            hits[:, picked].T.tolist(),
+            zip(*(b[picked].tolist() for b in base)),
+            zip(*(p[picked].tolist() for p in q)),
+        )
+        for ordinal, n, row, draws, hit, bases, paths in chunk:
+            d = from_rows(n, row[:n])
             for k, kind in enumerate(_LEMMA_KEYS):
-                length, chooser = draws[2 * k], draws[2 * k + 1]
-                got = _lemma_witnesses(base[k][lo].tolist(), q[k][lo].tolist(), kind, length, chooser)
-                if _lemma_setup(n, first, kind, length, chooser) != (*got, bool(hits[k, lo])):
-                    raise RuntimeError("vector and scalar lemma setups disagree")
-            picked = lo + np.flatnonzero(hits[:, lo:hi].any(axis=0))
-            chunk = zip(
-                ordinals[picked].tolist(),
-                orders[picked].tolist(),
-                rows[picked].tolist(),
-                pairs[:, picked].T.tolist(),
-                hits[:, picked].T.tolist(),
-                zip(*(b[picked].tolist() for b in base)),
-                zip(*(p[picked].tolist() for p in q)),
-            )
-            for ordinal, n, row, draws, hit, bases, paths in chunk:
-                d = from_rows(n, row[:n])
-                for k, kind in enumerate(_LEMMA_KEYS):
-                    if hit[k]:
-                        length, chooser = draws[2 * k], draws[2 * k + 1]
-                        b, p = _lemma_witnesses(bases[k], paths[k], kind, length, chooser)
-                        _lemma_hit(spec, tally, ordinal, d, kind, b, p)
-        tally.scanned += ordinals.size
-        tick()
+                if hit[k]:
+                    length, chooser = draws[2 * k], draws[2 * k + 1]
+                    b, p = _lemma_witnesses(bases[k], paths[k], kind, length, chooser)
+                    _lemma_hit(spec, tally, ordinal, d, kind, b, p)
 
 
 def _lemma_inputs(
@@ -1190,12 +1146,9 @@ def audit_sharpness() -> dict[str, Any]:
     return report
 
 
-def _shard_worker(args: tuple[dict[str, Any], Optional[str], bool]) -> dict[str, Any]:
-    spec_json, checkpoint_path, allow_long = args
-    spec = CampaignSpec.from_json(spec_json)
-    if checkpoint_path:
-        spec = replace(spec, checkpoint_path=checkpoint_path)
-    return run_campaign(spec, allow_long=allow_long).to_json()
+def _shard_worker(args: tuple[CampaignSpec, bool]) -> CampaignResult:
+    spec, allow_long = args
+    return run_campaign(spec, allow_long=allow_long)
 
 
 def run_sharded(
@@ -1212,14 +1165,11 @@ def run_sharded(
         raise CampaignError("jobs must be at least 1")
     work = []
     for shard in range(spec.shards):
-        shard_spec = replace(spec, shard=shard, checkpoint_path=None)
-        shard_ckpt = (
-            f"{spec.checkpoint_path}.shard{shard}" if spec.checkpoint_path else None
-        )
-        work.append((shard_spec.identity(), shard_ckpt, allow_long))
+        path = f"{spec.checkpoint_path}.shard{shard}" if spec.checkpoint_path else None
+        work.append((replace(spec, shard=shard, checkpoint_path=path), allow_long))
     if jobs == 1 or spec.shards == 1:
-        payloads = [_shard_worker(item) for item in work]
+        results = [_shard_worker(item) for item in work]
     else:
         with multiprocessing.get_context("fork").Pool(min(jobs, spec.shards)) as pool:
-            payloads = pool.map(_shard_worker, work)
-    return merge_results([CampaignResult.from_json(p) for p in payloads])
+            results = pool.map(_shard_worker, work)
+    return merge_results(results)

@@ -37,6 +37,7 @@ from hamlab.generators import (
 )
 from hamlab.harness import (
     CampaignError,
+    CampaignResult,
     CampaignSpec,
     CheckpointError,
     Counterexample,
@@ -746,7 +747,8 @@ def test_checkpoint_rejects_corrupt_file(tmp_path):
 def test_checkpoint_rejects_missing_keys(tmp_path):
     cp = str(tmp_path / "short.json")
     spec = CampaignSpec(claim="thm15", n=4, checkpoint_path=cp)
-    checkpoint_save(cp, spec, {"cursor": 0})
+    with open(cp, "w", encoding="utf-8") as fh:
+        json.dump({"fingerprint": spec.fingerprint(), "cursor": 0}, fh)
     with pytest.raises(CheckpointError):
         checkpoint_load(cp, spec)
 
@@ -805,8 +807,53 @@ def test_checkpoint_accepts_last_cursor_of_a_finished_shard(tmp_path):
     cp, spec = _tampered_checkpoint(tmp_path)
     finished = run_campaign(spec)
     assert finished.complete
-    assert checkpoint_load(cp, spec)["cursor"] == 4096 + 2  # last position 4095, plus 3
+    assert checkpoint_load(cp, spec)[1] == 4096 + 2  # last position 4095, plus 3
     assert run_campaign(spec) == finished
+
+
+@pytest.mark.parametrize("stop_after", [300, None], ids=["partial", "complete"])
+def test_checkpoint_holds_the_result_json(tmp_path, stop_after):
+    cp = str(tmp_path / "cp.json")
+    spec = CampaignSpec(claim="thm110", n=4, shards=3, checkpoint_path=cp)
+    result = run_campaign(spec, stop_after=stop_after)
+    with open(cp, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert CampaignResult.from_json(payload) == replace(
+        result, spec=replace(spec, checkpoint_path=None)
+    )
+    assert checkpoint_load(cp, spec) == (CampaignResult.from_json(payload), payload["cursor"])
+
+
+def test_checkpoint_refuses_the_nested_spec_format(tmp_path):
+    cp = str(tmp_path / "old.json")
+    spec = CampaignSpec(claim="thm15", n=4, checkpoint_path=cp)
+    old = {
+        "fingerprint": spec.fingerprint(), "spec": spec.identity(), "cursor": 1, "scanned": 1,
+        "strong": 0, "hypothesis_hits": 0, "verified": 0, "counterexamples": [],
+        "exceptions": [], "detail": {}, "elapsed_ms": 3,
+    }
+    with open(cp, "w", encoding="utf-8") as fh:
+        json.dump(old, fh)
+    with pytest.raises(CheckpointError, match="old.json"):
+        checkpoint_load(cp, spec)
+
+
+def test_checkpoint_save_reports_an_unwritable_path(tmp_path):
+    result = run_campaign(CampaignSpec(claim="thm15", n=4), stop_after=10)
+    with pytest.raises(CheckpointError, match="cannot write checkpoint"):
+        checkpoint_save(str(tmp_path / "missing" / "cp.json"), result, 10)
+
+
+def test_run_sharded_checkpoints_every_shard_and_resumes(tmp_path):
+    cp = str(tmp_path / "cp.json")
+    spec = CampaignSpec(claim="thm110", n=4, shards=3, checkpoint_path=cp)
+    run_campaign(replace(spec, shard=1, checkpoint_path=f"{cp}.shard1"), stop_after=500)
+    merged = run_sharded(spec, jobs=2)
+    assert merged == run_campaign(CampaignSpec(claim="thm110", n=4))
+    for shard in range(3):
+        saved, _ = checkpoint_load(f"{cp}.shard{shard}", replace(spec, shard=shard))
+        assert saved.complete
+    assert run_sharded(spec, jobs=1) == merged
 
 
 # --- serialization -------------------------------------------------------------------------
