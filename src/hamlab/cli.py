@@ -18,6 +18,7 @@ from .conditions import condition_report
 from .cycles import cycle_spectrum, hamiltonian_bypass
 from .digraph import Digraph, GraphError, ParseError, parse, serialize
 from .generators import (
+    GiveUpError,
     gen_directed_cycle,
     gen_kstar,
     gen_kstar_minus_arc,
@@ -120,12 +121,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
             d = gen_directed_cycle(int(args.params[0]))
         else:
             d = gen_random_strong(int(args.params[0]), float(args.params[1]), args.seed)
-    except (GraphError, ValueError) as exc:
+    except (GraphError, ValueError, GiveUpError) as exc:
         return _fail(str(exc))
     text = serialize(d)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _fail(str(exc))
     else:
         sys.stdout.write(text)
     return 0

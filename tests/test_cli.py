@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from hamlab import generators
 from hamlab.cli import main
+from hamlab.harness import CampaignSpec
 from hamlab.digraph import parse, serialize
 from hamlab.generators import gen_kstar, gen_random_strong, gen_two_cliques
 
@@ -36,6 +38,14 @@ def test_gen_to_output_file(capsys, tmp_path):
 def test_gen_cycle_rejects_order_one(capsys):
     code, _, err = run_cli(capsys, "gen", "cycle", "1")
     assert code == 2 and "error:" in err
+
+
+def test_gen_reports_a_give_up_and_an_unwritable_output(capsys, monkeypatch):
+    monkeypatch.setattr(generators, "GIVE_UP_AFTER", 10)
+    code, out, err = run_cli(capsys, "gen", "random-strong", "3", "0.0")
+    assert code == 2 and out == "" and err.startswith("error:")
+    code, out, err = run_cli(capsys, "gen", "cycle", "4", "-o", "/nonexistent/x")
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_gen_rejects_bad_family_and_arity(capsys):
@@ -148,6 +158,27 @@ def test_verify_rejects_misaligned_checkpoint(capsys, tmp_path):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert "cursor" in err and out == ""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_reports_an_unwritable_checkpoint(capsys, tmp_path, jobs):
+    cp = str(tmp_path / "missing" / "cp.json")
+    argv = ("verify", "thm15", "--n", "4", "--jobs", jobs, "--checkpoint", cp, "--json")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write checkpoint")
+
+
+def test_verify_refuses_a_nested_spec_checkpoint(capsys, tmp_path):
+    cp = str(tmp_path / "old.json")
+    spec = CampaignSpec(claim="thm15", n=4)
+    old = {"fingerprint": spec.fingerprint(), "spec": spec.identity(), "cursor": 1,
+           "scanned": 1, "strong": 0, "hypothesis_hits": 0, "verified": 0}
+    with open(cp, "w", encoding="utf-8") as fh:
+        json.dump(old, fh)
+    code, out, err = run_cli(capsys, "verify", "thm15", "--n", "4", "--checkpoint", cp, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and cp in err
 
 
 def test_verify_jobs_matches_single(capsys):
