@@ -772,7 +772,7 @@ def run_campaign(
 
     _run_space(spec, tally, stop_after, tick)
     result = tally.result(elapsed_ms())
-    if result.complete and tally.verified + len(tally.counterexamples) != tally.hits:
+    if result.complete and result.verified + len(result.counterexamples) != result.hypothesis_hits:
         raise RuntimeError("campaign bookkeeping broke: verified + failures != hits")
     if spec.checkpoint_path:
         checkpoint_save(spec.checkpoint_path, result, tally.cursor)
