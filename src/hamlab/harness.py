@@ -505,6 +505,8 @@ def checkpoint_load(path: str, spec: CampaignSpec) -> tuple[CampaignResult, int]
             f"corrupt checkpoint {path}: cursor {cursor} is not a position of "
             f"shard {spec.shard} of {spec.shards}"
         )
+    if not isinstance(payload["counterexamples"], list):
+        raise CheckpointError(f"corrupt checkpoint {path}: counterexamples is not a list")
     if result.verified + len(result.counterexamples) > result.hypothesis_hits:
         raise CheckpointError(
             f"corrupt checkpoint {path}: verified + counterexamples exceeds hits"
