@@ -8,12 +8,16 @@ Usage:
 Pair i runs ``perfbench/run.py --workload W --seed K --seconds S --trace 0``
 once in each tree, each in a fresh interpreter with that tree as its working
 directory; the parent goes first in even pairs and the change in odd ones,
-so a slow spell of a shared host reaches both sides alike.  Every run's
-metrics are printed as it ends.  Then, for each end-to-end metric of the
-parent's ``BENCHMARK.json`` (read, never written), the script prints each
-side's median and quartiles, the change's wins (ties count for neither), the
-ratio of the medians, the median of the ratios within pairs (which a host
-drifting over the run moves less), and two verdicts:
+so a slow spell of a shared host reaches both sides alike.  Before the
+first pair the script removes every ``__pycache__`` directory under
+``src/`` and ``perfbench/`` of both trees: a stale bytecode cache that
+cannot be rewritten makes a tree compile its sources on every run, which
+``setup_s`` then counts.  Every run's metrics are printed as it ends.
+Then, for each end-to-end metric of the parent's ``BENCHMARK.json`` (read,
+never written), the script prints each side's median and quartiles, the
+change's wins (ties count for neither), the ratio of the medians, the median
+of the ratios within pairs (which a host drifting over the run moves less),
+and two verdicts:
 
 - ``bound``: ``ok`` unless the change's median is worse than the parent's
   by more than the metric's regression bound;
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -51,6 +56,15 @@ def run_once(tree: str, workload: str, seconds: int, seed: int) -> Optional[dict
     if not result.get("correct"):
         sys.stderr.write(f"{tree}: run not correct\n{child.stderr}")
     return result
+
+
+def clear_bytecode(tree: str) -> None:
+    """Remove the ``__pycache__`` directories under ``tree``'s src/ and perfbench/."""
+    for top in ("src", "perfbench"):
+        for root, dirs, _ in os.walk(os.path.join(tree, top)):
+            if "__pycache__" in dirs:
+                shutil.rmtree(os.path.join(root, "__pycache__"))
+                dirs.remove("__pycache__")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -78,6 +92,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     with open(os.path.join(trees["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
 
+    for tree in trees.values():
+        clear_bytecode(tree)
     pairs: list[dict[str, dict[str, float]]] = []  # per pair: side -> metric -> value
     failed = 0
     for pair in range(args.pairs):

@@ -125,10 +125,18 @@ def gen_directed_cycle(n: int) -> Digraph:
 
 
 def random_strong_rows(n: int, arc_prob: float, seed: int) -> Optional[list[int]]:
-    """Row kernel behind :func:`gen_random_strong`; None when the budget runs out."""
+    """Row kernel behind :func:`gen_random_strong`; None when the budget runs out.
+
+    An arc probability too small to give any arc (cutoff 0) raises at once
+    from order 2 up, since no arcless digraph there is strong.
+    """
     if not 1 <= n <= 64:
         raise GraphError(f"order {n} outside 1..64")
     cutoff = threshold_for(arc_prob)
+    if cutoff == 0 and n >= 2:
+        raise GraphError(
+            f"arc probability {arc_prob} draws no arcs, so no strong digraph of order {n}"
+        )
     pairs = ordered_pairs(n)
     state = seed & MASK64
     for _ in range(GIVE_UP_AFTER):

@@ -11,11 +11,15 @@ still sends each block's first hit and every negative verdict through the
 scalar route, so the fast path never becomes the only authority.
 
 All row blocks are ``(B, n)`` uint64 arrays of out-adjacency bitmasks, the
-same encoding the scalar modules use.  The screens make O(n) or O(n²)
-passes over a block and drop the rows they have decided, so later passes
-touch only the undecided rest:
+same encoding the scalar modules use.  Up to order 8 (``WORD_MAX_N``) a
+whole digraph also fits one 64-bit word, an 8x8 bit matrix with row u in
+byte u: ``decode_rows`` builds each index's word by shifts and masks and
+inserts every row's diagonal bit at once, and ``in_rows`` transposes words.
+The screens make O(n) or O(n²) passes over a block:
 
-- ``strong_flags`` grows the sets reached from and reaching vertex 0 and
+- ``strong_flags`` runs Warshall's closure on the words of a whole block, n
+  steps of a few array operations with no per-row work; above order 8,
+  ``_sweep_strong`` grows the sets reached from and reaching vertex 0 and
   retires each row once both are full or either stops growing short of full;
 - ``triple_condition_flags`` reduces the O(n³) quantifier over (x, y, z) to
   one comparison per vertex x built from three per-row minima (see its
@@ -24,8 +28,9 @@ touch only the undecided rest:
 The hit-block kernels cover orders up to ``HIT_MAX_N``:
 
 - ``confirm_flags`` re-checks both hypotheses by formulations independent of
-  the screens (a Warshall closure, and the literal clause form of the triple
-  condition), so a defect in a screen has to be made twice to slip through;
+  the screens (the vertex-0 sweep of ``_sweep_strong`` for strong
+  connectivity, and the literal clause form of the triple condition), so a
+  defect in a screen has to be made twice to slip through;
 - ``cycle_lengths`` gives every cycle length of each row from one Held–Karp
   pass over (subset, endpoint);
 - ``bypass_flags`` finds a Hamiltonian bypass (a spanning path whose first
@@ -73,6 +78,16 @@ _FAR = np.int16(1 << 10)
 #: largest order the hit-block kernels take: Held–Karp endpoint sets are uint8
 HIT_MAX_N = 8
 
+#: largest order whose digraphs fit one word, row u in byte u
+WORD_MAX_N = 8
+#: bit 0 of every byte
+_BYTE_LSB = U(0x0101010101010101)
+#: bits 0..u-1 of each byte u: the chunk bits below u's diagonal
+_LOW_BITS = U(sum(((1 << u) - 1) << 8 * u for u in range(8)))
+#: per order n, the diagonal of the first n rows, and those rows all full
+_DIAGONAL = [U(sum(1 << 9 * u for u in range(n))) for n in range(9)]
+_FULL = [U(sum(((1 << n) - 1) << 8 * u for u in range(n))) for n in range(9)]
+
 
 def mix_vec(
     state: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
@@ -94,32 +109,29 @@ def mix_vec(
     return z
 
 
-@lru_cache(maxsize=None)
-def _row_tables(n: int) -> np.ndarray:
-    """Per-vertex lookup tables mapping an (n-1)-bit chunk to an out-row.
-
-    Chunk bit j addresses the j-th other vertex in ascending order; the table
-    re-inserts the vertex's own (always clear) diagonal bit.
-    """
-    size = 1 << (n - 1)
-    tables = np.zeros((n, size), dtype=np.uint64)
-    for u in range(n):
-        chunks = np.arange(size, dtype=np.uint64)
-        low = chunks & U((1 << u) - 1)
-        high = (chunks >> _SH[u]) << _SH[u + 1]
-        tables[u] = low | high
-    return tables
-
-
 def decode_rows(n: int, indices: np.ndarray) -> np.ndarray:
-    """Decode labeled-space indices into out-adjacency row blocks."""
-    tables = _row_tables(n)
-    chunk_mask = U((1 << (n - 1)) - 1)
-    rows = np.empty((indices.shape[0], n), dtype=np.uint64)
-    for u in range(n):
-        chunks = (indices >> _SH[u * (n - 1)]) & chunk_mask
-        rows[:, u] = tables[u][chunks]
-    return rows
+    """Decode labeled-space indices into out-adjacency row blocks (orders up to 8).
+
+    Each index becomes one word: vertex u's (n-1)-bit chunk moves into byte
+    u, and then every byte's diagonal bit is inserted at once (the bits of
+    byte u from bit u up move up by one).  The word's first n bytes are the
+    rows.
+    """
+    if n > WORD_MAX_N:
+        raise ValueError(f"word decode covers orders up to {WORD_MAX_N}, got {n}")
+    chunk_mask = (1 << (n - 1)) - 1
+    words = indices & U(chunk_mask)
+    chunk = np.empty_like(words)
+    for u in range(1, n):
+        # chunk u sits at bit u(n-1) and moves to bit 8u
+        np.bitwise_and(indices, U(chunk_mask << u * (n - 1)), out=chunk)
+        chunk <<= _SH[u * (9 - n)]
+        words |= chunk
+    np.bitwise_and(words, ~_LOW_BITS, out=chunk)
+    chunk <<= ONE
+    words &= _LOW_BITS
+    words |= chunk
+    return words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :n].astype(np.uint64)
 
 
 def tournament_rows(n: int, indices: np.ndarray) -> np.ndarray:
@@ -142,12 +154,38 @@ def tournament_rows(n: int, indices: np.ndarray) -> np.ndarray:
 def strong_flags(n: int, rows: np.ndarray) -> np.ndarray:
     """Boolean mask of strongly connected digraphs in a row block.
 
+    Up to order 8 each row is one word, row u in byte u, and Warshall's
+    closure runs on all words at once: at step k, bit 0 of byte u is set
+    when u reaches k, and multiplying those bits by row k adds row k to
+    every such row u (no byte carries into the next).  A digraph is strong
+    when its closure plus the diagonal is full.  Above order 8 the vertex-0
+    sweep (``_sweep_strong``) decides.
+    """
+    if n > WORD_MAX_N:
+        return _sweep_strong(n, rows)
+    packed = np.zeros((rows.shape[0], 8), dtype=np.uint8)
+    packed[:, :n] = rows
+    words = packed.view("<u8").ravel()
+    column = np.empty_like(words)
+    for k in range(n):
+        np.right_shift(words, _SH[k], out=column)
+        column &= _BYTE_LSB
+        column *= packed[:, k]
+        words |= column
+    words |= _DIAGONAL[n]
+    return words == _FULL[n]
+
+
+def _sweep_strong(n: int, rows: np.ndarray) -> np.ndarray:
+    """Boolean mask of strongly connected digraphs, by sweeps from vertex 0.
+
     Each round sweeps the vertices once, growing ``reach`` (vertices reached
     from 0) and ``back`` (vertices reaching 0) in place, so it advances at
-    least one BFS layer and n - 1 rounds always suffice.  A row is decided
-    when both sets are full (strong) or a round leaves either set unchanged
-    short of full (that set is closed: not strong); decided rows leave the
-    block.
+    least one BFS layer.  A row is decided when both sets are full (strong)
+    or a round leaves either set unchanged short of full (that set is
+    closed: not strong); decided rows leave the block.  Every row is decided
+    within n - 1 rounds; the loop allows n so that order 1, whose sets are
+    full from the start, is decided too.
     """
     count = rows.shape[0]
     full = U((1 << n) - 1)
@@ -155,7 +193,7 @@ def strong_flags(n: int, rows: np.ndarray) -> np.ndarray:
     live = np.arange(count)
     reach = np.ones(count, dtype=np.uint64)
     back = np.ones(count, dtype=np.uint64)
-    for _ in range(n - 1):
+    for _ in range(n):
         if not live.size:
             break
         before = reach.copy()
@@ -286,18 +324,15 @@ def _row_bytes(n: int, rows: np.ndarray) -> np.ndarray:
 def confirm_flags(n: int, rows: np.ndarray, slack: int) -> np.ndarray:
     """Boolean mask of rows that are strong and satisfy the triple condition.
 
-    Written independently of both screens.  Strong connectivity comes from a
-    Warshall closure of the bitmask rows (row i gains row k's reach once it
-    reaches k), not from sweeps out of vertex 0.  The triple condition is the
+    Written independently of both screens.  Strong connectivity comes from
+    the sweeps out of vertex 0 (``_sweep_strong``), not from the word closure
+    that screened the rows.  The triple condition is the
     literal clause form: for every x, a (B, y, z) array of both clause sums
     over y non-adjacent to x and z ≠ x with the named arc absent, with
     degrees counted from the adjacency matrices rather than the row bytes.
     """
     arcs = _arc_matrix(n, rows)
-    reach = rows.copy()
-    for k in range(n):
-        reach |= ((reach >> _SH[k]) & ONE) * reach[:, k : k + 1]
-    ok = ((reach | _BIT[:n]) == U((1 << n) - 1)).all(axis=1)
+    ok = _sweep_strong(n, rows)
     out_deg = arcs.sum(axis=2, dtype=np.int16)
     in_deg = arcs.sum(axis=1, dtype=np.int16)
     deg = out_deg + in_deg

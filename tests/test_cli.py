@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -42,10 +43,19 @@ def test_gen_cycle_rejects_order_one(capsys):
 
 def test_gen_reports_a_give_up_and_an_unwritable_output(capsys, monkeypatch):
     monkeypatch.setattr(generators, "GIVE_UP_AFTER", 10)
-    code, out, err = run_cli(capsys, "gen", "random-strong", "3", "0.0")
+    code, out, err = run_cli(capsys, "gen", "random-strong", "3", "0.000001")
     assert code == 2 and out == "" and err.startswith("error:")
     code, out, err = run_cli(capsys, "gen", "cycle", "4", "-o", "/nonexistent/x")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_gen_random_strong_without_arcs_fails_at_once(capsys):
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, "gen", "random-strong", "3", "0.0")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert time.monotonic() - started < 0.5
+    code, out, _ = run_cli(capsys, "gen", "random-strong", "1", "0.0")
+    assert code == 0 and parse(out).n == 1
 
 
 def test_gen_rejects_bad_family_and_arity(capsys):

@@ -300,6 +300,15 @@ def test_rejected_vector_confirmation_is_caught(monkeypatch, spec):
         run_campaign(spec)
 
 
+def test_lying_strong_screen_is_caught(monkeypatch):
+    def pass_all(n, rows):
+        return np.ones(rows.shape[0], dtype=bool)
+
+    monkeypatch.setattr(scan, "strong_flags", pass_all)
+    with pytest.raises(RuntimeError, match="vector confirmation disagree"):
+        run_campaign(CampaignSpec(claim="thm15", n=5))
+
+
 def test_sampled_order9_takes_scalar_route_frozen_counts(monkeypatch):
     def unused(*args):
         raise AssertionError("hit-block kernels called above their order cap")

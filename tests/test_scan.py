@@ -12,8 +12,10 @@ from hamlab.digraph import strong_rows
 from hamlab.generators import (
     GiveUpError,
     derived_seed,
+    index_from_rows,
     mix64,
     random_strong_rows,
+    rows_from_index,
     tournament_rows_from_index,
 )
 
@@ -48,11 +50,76 @@ def test_triple_flags_match_cubic_oracle_over_full_order5_space(order5_rows, sla
     assert np.array_equal(flags, oracle_triple_flags(5, order5_rows, slack))
 
 
-def test_strong_flags_match_scalar_over_full_order5_space(order5_rows):
+def test_strong_flags_match_scalar_over_full_order5_space(order5_rows, order5_strong):
     flags = scan.strong_flags(5, order5_rows)
-    expected = [strong_rows(5, row) for row in order5_rows.tolist()]
-    assert flags.tolist() == expected
+    assert np.array_equal(flags, order5_strong)
     assert int(flags.sum()) == 565_080
+
+
+def test_sweep_strong_matches_scalar_over_full_order5_space(order5_rows, order5_strong):
+    assert np.array_equal(scan._sweep_strong(5, order5_rows), order5_strong)
+
+
+# --- word decode and strong screens vs their scalar twins --------------------------
+
+
+def test_decode_rows_match_scalar_decode_over_full_order4_space(order4_rows):
+    assert order4_rows.dtype == np.uint64 and order4_rows.shape == (1 << 12, 4)
+    assert order4_rows.tolist() == [rows_from_index(4, i) for i in range(1 << 12)]
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_decode_rows_match_scalar_decode_on_random_indices(n: int):
+    top = (1 << n * (n - 1)) - 1
+    rng = np.random.default_rng(n)
+    indices = rng.integers(0, top, size=3000, dtype=np.uint64, endpoint=True)
+    indices = np.append(indices, np.array([0, top], dtype=np.uint64))
+    rows = scan.decode_rows(n, indices)
+    assert rows.dtype == np.uint64 and rows.shape == (indices.size, n)
+    assert rows.tolist() == [rows_from_index(n, i) for i in indices.tolist()]
+    assert [index_from_rows(n, r) for r in rows.tolist()] == indices.tolist()
+    # the all-ones index is the complete digraph, whose order-8 word is full
+    assert rows[-1].tolist() == [(1 << n) - 1 ^ 1 << u for u in range(n)]
+    assert scan.strong_flags(n, rows[-1:]).tolist() == [True]
+
+
+def test_decode_rows_order_capped():
+    with pytest.raises(ValueError):
+        scan.decode_rows(9, np.zeros(1, dtype=np.uint64))
+
+
+STRONG_KERNELS = ["strong_flags", "_sweep_strong"]
+
+
+@pytest.mark.parametrize("kernel", STRONG_KERNELS)
+@pytest.mark.parametrize("n, strong", [(4, 24), (5, 544), (6, 22_320)])
+def test_strong_kernels_match_scalar_over_all_tournaments(kernel: str, n: int, strong: int):
+    rows = scan.tournament_rows(n, np.arange(1 << n * (n - 1) // 2, dtype=np.uint64))
+    flags = getattr(scan, kernel)(n, rows)
+    assert flags.tolist() == [strong_rows(n, r) for r in rows.tolist()]
+    assert int(flags.sum()) == strong
+
+
+CYCLE8 = [1 << (u + 1) % 8 for u in range(8)]
+
+
+@pytest.mark.parametrize("kernel", STRONG_KERNELS)
+@pytest.mark.parametrize(
+    "n, block",
+    [
+        (8, [[0xFF ^ 1 << u for u in range(8)]]),
+        (8, [CYCLE8]),
+        (8, [CYCLE8[:7] + [0]]),
+        (8, []),
+        (1, [[0], [0]]),
+    ],
+    ids=["complete", "cycle", "cycle-minus-arc", "empty", "order1"],
+)
+def test_strong_kernels_on_edge_blocks(kernel: str, n: int, block: list):
+    rows = np.array(block, dtype=np.uint64).reshape(-1, n)
+    flags = getattr(scan, kernel)(n, rows)
+    assert flags.shape == (len(block),)
+    assert flags.tolist() == [strong_rows(n, r) for r in block]
 
 
 @st.composite
