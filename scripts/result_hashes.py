@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print two sha256 per campaign of a fixed set, to check results bit for bit.
+"""Print two sha256 per campaign of a fixed set, and one over the scalar
+reports, to check results bit for bit.
 
 Usage:
     PYTHONPATH=src python3 scripts/result_hashes.py > hashes.txt
@@ -28,6 +29,13 @@ The set has 60 campaigns:
   -4 and -8, exhaustive at orders 4 and 5 and sampled at order 6.  These
   negative slacks make many hits fail, so the counterexample path is
   hashed too.  lemma35 is left out: its judge raises below slack 0.
+
+The first line is one sha256 over ``condition_report(d).to_json()``,
+``classify(d).to_json()`` and ``lemma35_holds(d).to_json()`` (or its
+HypothesisUnmet text) of every labeled digraph of orders 1-4 (4,165) and of
+``gen_random_strong(n, p, s)`` for n = 5..9, p in {0.3, 0.6, 0.9} and
+s = 0..9, so the scalar conditions and classification are held bit for bit
+as well.
 """
 from __future__ import annotations
 
@@ -39,7 +47,10 @@ import tempfile
 from typing import Optional
 
 from hamlab import harness
-from hamlab.harness import CampaignResult, CampaignSpec, run_campaign
+from hamlab.conditions import condition_report, lemma35_holds
+from hamlab.digraph import HypothesisUnmet
+from hamlab.generators import enum_labeled, gen_random_strong
+from hamlab.harness import CampaignResult, CampaignSpec, classify, run_campaign
 
 #: (spec, stop_after, slack override or None)
 Entry = tuple[CampaignSpec, Optional[int], Optional[int]]
@@ -108,7 +119,26 @@ def digests(entry: Entry) -> tuple[str, str]:
     return _sha(first), _sha(resumed)
 
 
+def scalar_digest() -> str:
+    """sha256 over the scalar reports of every digraph of orders 1-4 and of
+    150 seeded random strong digraphs of orders 5-9."""
+    digest = hashlib.sha256()
+    graphs = [d for n in range(1, 5) for _, d in enum_labeled(n)]
+    for n in range(5, 10):
+        for p in (0.3, 0.6, 0.9):
+            graphs += [gen_random_strong(n, p, s) for s in range(10)]
+    for d in graphs:
+        try:
+            lemma = lemma35_holds(d).to_json()
+        except HypothesisUnmet as exc:
+            lemma = f"HypothesisUnmet: {exc}"
+        data = [condition_report(d).to_json(), classify(d).to_json(), lemma]
+        digest.update(json.dumps(data, separators=(",", ":")).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def main() -> int:
+    print(f"{scalar_digest()}  scalar reports", flush=True)
     for entry in campaigns():
         first, resumed = digests(entry)
         print(f"{first}  {resumed}  {label(entry)}", flush=True)

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from .conditions import condition_report
 from .cycles import cycle_spectrum, hamiltonian_bypass
@@ -44,23 +44,29 @@ _GEN_FAMILIES = {
 }
 
 
-def _read_digraph(path: str) -> Digraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        d = _read_digraph(args.file)
-    except OSError as exc:
-        return _fail(str(exc))
-    except ParseError as exc:
-        return _fail(str(exc))
+def _on_file(
+    command: Callable[[Digraph, argparse.Namespace], int]
+) -> Callable[[argparse.Namespace], int]:
+    """Run ``command`` on the digraph in ``args.file``; a file that cannot be
+    read, is not UTF-8 or does not parse is reported with exit 2."""
+
+    def run(args: argparse.Namespace) -> int:
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                d = parse(fh.read())
+        except (OSError, UnicodeDecodeError, ParseError) as exc:
+            return _fail(str(exc))
+        return command(d, args)
+
+    return run
+
+
+def cmd_check(d: Digraph, args: argparse.Namespace) -> int:
     report = condition_report(d)
     record = classify(d)
     if args.json:
@@ -201,11 +207,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if result.counterexamples else 0
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    try:
-        d = _read_digraph(args.file)
-    except (OSError, ParseError) as exc:
-        return _fail(str(exc))
+def cmd_spectrum(d: Digraph, args: argparse.Namespace) -> int:
     spectrum = cycle_spectrum(d)
     present = spectrum.present
     print(" ".join(str(length) for length in present) if present else "none")
@@ -215,11 +217,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bypass(args: argparse.Namespace) -> int:
-    try:
-        d = _read_digraph(args.file)
-    except (OSError, ParseError) as exc:
-        return _fail(str(exc))
+def cmd_bypass(d: Digraph, args: argparse.Namespace) -> int:
     try:
         found = hamiltonian_bypass(d)
     except GraphError as exc:
@@ -244,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="evaluate all conditions on a digraph file")
     p_check.add_argument("file")
     p_check.add_argument("--json", action="store_true")
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(func=_on_file(cmd_check))
 
     p_gen = sub.add_parser("gen", help="write a named digraph family member")
     p_gen.add_argument("family")
@@ -270,11 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spectrum = sub.add_parser("spectrum", help="list cycle lengths with witnesses")
     p_spectrum.add_argument("file")
-    p_spectrum.set_defaults(func=cmd_spectrum)
+    p_spectrum.set_defaults(func=_on_file(cmd_spectrum))
 
     p_bypass = sub.add_parser("bypass", help="find a spanning path with a closing chord")
     p_bypass.add_argument("file")
-    p_bypass.set_defaults(func=cmd_bypass)
+    p_bypass.set_defaults(func=_on_file(cmd_bypass))
     return parser
 
 

@@ -12,7 +12,7 @@ verification harness can call them in bulk without building Digraph objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .digraph import Digraph, HypothesisUnmet, bits
@@ -96,21 +96,23 @@ def _degree_arrays(n: int, rows: Sequence[int]) -> tuple[list[int], list[int], l
 
 
 def _verdict(name: str, items: Iterable[tuple[int, Any, Any]]) -> ConditionVerdict:
-    """Fold (key, worst entry, violation or None) items into a verdict.
+    """Fold (key, worst entry, violation or None) items into a verdict, streaming.
 
     ``worst`` is the entry of the least key, the first one on a tie, and stays
     None only when no item qualifies; the witnesses are the violations in item
-    order, capped at ``VIOLATION_CAP``.
+    order, capped at ``VIOLATION_CAP``, and the count covers all of them.
     """
-    items = list(items)
-    viol = [violation for _, _, violation in items if violation is not None]
-    return ConditionVerdict(
-        name=name,
-        holds=not viol,
-        witnesses=tuple(viol[:VIOLATION_CAP]),
-        total_violations=len(viol),
-        worst=min(items, key=lambda item: item[0])[1] if items else None,
-    )
+    least = worst = None
+    witnesses: list[Any] = []
+    total = 0
+    for key, entry, violation in items:
+        if least is None or key < least:
+            least, worst = key, entry
+        if violation is not None:
+            total += 1
+            if len(witnesses) < VIOLATION_CAP:
+                witnesses.append(violation)
+    return ConditionVerdict(name, total == 0, tuple(witnesses), total, worst)
 
 
 def _nonadjacent(d: Digraph) -> Iterator[tuple[int, int]]:
@@ -185,72 +187,57 @@ def min_degree_semidegree(d: Digraph) -> ConditionVerdict:
     return _verdict("min_degree_semidegree", items())
 
 
-def _triple_clauses(d: Digraph, z_may_equal_y: bool):
+def _triple_clauses(n: int, rows: Sequence[int]) -> Iterator[tuple[int, int, int, str, int]]:
     """Yield (x, y, z, clause, attained_sum) for every qualifying clause.
 
     Qualifying: x, y distinct and non-adjacent, z any vertex other than x
-    (z = y is allowed by default and restricted only when ``z_may_equal_y``
-    is false), and the named arc absent.  Both orderings of each non-adjacent
-    pair are scanned.  The z = y clauses matter: complete bipartite digraphs
-    with parts of size two have no qualifying triple at all without them.
+    (z = y included), and the named arc absent.  Both orderings of each
+    non-adjacent pair are scanned.  The z = y clauses matter: complete
+    bipartite digraphs with parts of size two have no qualifying triple at
+    all without them.
     """
-    n = d.n
-    deg = [d.degree(v) for v in range(n)]
-    out_deg = [d.out_degree(v) for v in range(n)]
-    in_deg = [d.in_degree(v) for v in range(n)]
+    out_deg, in_deg, deg = _degree_arrays(n, rows)
     for x in range(n):
-        row_x = d.out[x]
+        row_x = rows[x]
         for y in range(n):
-            if y == x or (row_x >> y | d.out[y] >> x) & 1:
+            if y == x or (row_x >> y | rows[y] >> x) & 1:
                 continue
             pair_sum = deg[x] + deg[y]
             for z in range(n):
-                if z == x or (z == y and not z_may_equal_y):
+                if z == x:
                     continue
                 if not row_x >> z & 1:
                     yield x, y, z, "x->z", pair_sum + out_deg[x] + in_deg[z]
-                if not d.out[z] >> x & 1:
+                if not rows[z] >> x & 1:
                     yield x, y, z, "z->x", pair_sum + in_deg[x] + out_deg[z]
 
 
-def condition_a_k(d: Digraph, k: int, *, z_may_equal_y: bool = True) -> ConditionVerdict:
+def condition_a_k(d: Digraph, k: int) -> ConditionVerdict:
     """Triple degree-sum condition with slack ``k``.
 
     For every triple (x, y, z) with x, y non-adjacent and z != x: a missing
     arc x->z requires d(x)+d(y)+d+(x)+d-(z) >= 3n-2+k, and a missing arc
     z->x requires d(x)+d(y)+d-(x)+d+(z) >= 3n-2+k.  Negative slack is allowed
-    so margins below zero can be probed directly.  Pass
-    ``z_may_equal_y=False`` for the stricter pairwise-distinct reading.
+    so margins below zero can be probed directly.  ``worst`` is the violated
+    clause of least sum over all violations.
     """
     required = 3 * d.n - 2 + k
-    viol: list[TripleViolation] = []
-    total = 0
-    for x, y, z, clause, s in _triple_clauses(d, z_may_equal_y):
-        if s < required:
-            total += 1
-            if len(viol) < VIOLATION_CAP:
-                viol.append(TripleViolation(x, y, z, clause, s, required))
-    return ConditionVerdict(
-        name=f"a{k}",
-        holds=total == 0,
-        witnesses=tuple(viol),
-        total_violations=total,
-        worst=min(viol, key=lambda t: t.total) if viol else None,
+    clauses = _triple_clauses(d.n, d.out)
+    verdict = _verdict(f"a{k}", ((c[4], c, c) for c in clauses if c[4] < required))
+    return replace(
+        verdict,
+        witnesses=tuple(TripleViolation(*c, required) for c in verdict.witnesses),
+        worst=verdict.worst and TripleViolation(*verdict.worst, required),
     )
 
 
-def ak_margin(d: Digraph, *, z_may_equal_y: bool = True) -> AkMargin:
+def ak_margin(d: Digraph) -> AkMargin:
     """Largest slack still satisfied: min qualifying sum minus (3n - 2).
 
     Unbounded when no clause qualifies (for instance, no non-adjacent pair).
     """
-    best: Optional[int] = None
-    for *_ignored, s in _triple_clauses(d, z_may_equal_y):
-        if best is None or s < best:
-            best = s
-    if best is None:
-        return AkMargin(None)
-    return AkMargin(best - (3 * d.n - 2))
+    best = min((c[4] for c in _triple_clauses(d.n, d.out)), default=None)
+    return AkMargin(None if best is None else best - (3 * d.n - 2))
 
 
 def holds_a_k_rows(n: int, rows: Sequence[int], k: int = 0) -> bool:
@@ -321,64 +308,43 @@ def bgy_18(d: Digraph) -> ConditionVerdict:
     return _verdict("bgy_18", items())
 
 
+def _low_pairs(n: int, rows: Sequence[int]) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield (x, y, z, d(x)+d(y), d(x)+d(z)) for every two low partners y < z
+    of x: non-adjacent to x, with pair degree sum below 2n - 1."""
+    _, _, deg = _degree_arrays(n, rows)
+    bound = 2 * n - 1
+    for x in range(n):
+        low = [
+            y
+            for y in range(n)
+            if y != x and not (rows[x] >> y | rows[y] >> x) & 1 and deg[x] + deg[y] < bound
+        ]
+        for i, y in enumerate(low):
+            for z in low[i + 1 :]:
+                yield x, y, z, deg[x] + deg[y], deg[x] + deg[z]
+
+
 def lemma35_holds(d: Digraph) -> ConditionVerdict:
     """Under the slack-0 triple condition: each vertex has at most one
     non-adjacent partner with pair degree sum below 2n - 1.
 
     Raises :class:`HypothesisUnmet` when the digraph does not satisfy the
     slack-0 condition, so a hypothesis failure is never confused with a
-    property failure.
+    property failure.  ``worst`` is the first violation.
     """
     if not holds_a_k_rows(d.n, d.out, 0):
         raise HypothesisUnmet("slack-0 triple condition does not hold")
     bound = 2 * d.n - 1
-    viol = []
-    total = 0
-    for x in range(d.n):
-        low = [
-            y
-            for y in range(d.n)
-            if y != x
-            and not (d.out[x] >> y | d.out[y] >> x) & 1
-            and d.degree(x) + d.degree(y) < bound
-        ]
-        for i in range(len(low)):
-            for j in range(i + 1, len(low)):
-                total += 1
-                if len(viol) < VIOLATION_CAP:
-                    viol.append(
-                        {
-                            "x": x,
-                            "y": low[i],
-                            "z": low[j],
-                            "sum_xy": d.degree(x) + d.degree(low[i]),
-                            "sum_xz": d.degree(x) + d.degree(low[j]),
-                            "required": bound,
-                        }
-                    )
-    return ConditionVerdict(
-        name="lemma35",
-        holds=total == 0,
-        witnesses=tuple(viol),
-        total_violations=total,
-        worst=viol[0] if viol else None,
+    bad = (
+        {"x": x, "y": y, "z": z, "sum_xy": xy, "sum_xz": xz, "required": bound}
+        for x, y, z, xy, xz in _low_pairs(d.n, d.out)
     )
+    return _verdict("lemma35", ((0, v, v) for v in bad))
 
 
 def lemma35_rows(n: int, rows: Sequence[int]) -> bool:
     """Row-level check of the paired low-degree property (hypothesis NOT checked)."""
-    _, _, deg = _degree_arrays(n, rows)
-    bound = 2 * n - 1
-    for x in range(n):
-        low = 0
-        for y in range(n):
-            if y == x or (rows[x] >> y | rows[y] >> x) & 1:
-                continue
-            if deg[x] + deg[y] < bound:
-                low += 1
-                if low >= 2:
-                    return False
-    return True
+    return next(_low_pairs(n, rows), None) is None
 
 
 @dataclass(frozen=True)

@@ -138,13 +138,6 @@ def hamiltonian_bypass_rows(
     return None
 
 
-def pancyclic_rows(n: int, rows: Sequence[int]) -> bool:
-    """Cycles of every length from 3 through n (requires n >= 3)."""
-    if n < 3:
-        return False
-    return all(find_cycle_rows(n, rows, length) is not None for length in range(3, n + 1))
-
-
 def _cover_path_rows(
     rows: Sequence[int], start: int, goal: int, pool: int
 ) -> Optional[tuple[int, ...]]:

@@ -49,13 +49,13 @@ from .conditions import AkMargin, ak_margin, holds_a_k_rows, lemma35_holds, lemm
 from .cycles import (
     LemmaViolation,
     absorb_path_into_cycle,
+    cycle_spectrum,
     cycles_from_external_vertex,
     find_cycle_rows,
     find_path_rows,
     hamiltonian_bypass_rows,
     insert_vertex,
     merge_path,
-    pancyclic_rows,
 )
 from .digraph import (
     CycleWitness,
@@ -257,16 +257,16 @@ def classify(d: Digraph) -> ClassificationRecord:
     balanced = None
     if parts is not None and parts[0] == parts[1]:
         balanced = (parts[0], parts[1])
-    rows = d.out
+    spectrum = cycle_spectrum(d)
     return ClassificationRecord(
         strong=is_strong(d),
         a0=margin.admits(0),
         a3=margin.admits(3),
-        hamiltonian=d.n >= 2 and find_cycle_rows(d.n, rows, d.n) is not None,
-        pre_hamiltonian=d.n >= 3 and find_cycle_rows(d.n, rows, d.n - 1) is not None,
-        pancyclic=pancyclic_rows(d.n, rows),
+        hamiltonian=d.n in spectrum.witnesses,
+        pre_hamiltonian=d.n - 1 in spectrum.witnesses,
+        pancyclic=spectrum.pancyclic,
         kstar_balanced=balanced,
-        ham_bypass=d.n >= 3 and hamiltonian_bypass_rows(d.n, rows) is not None,
+        ham_bypass=d.n >= 3 and hamiltonian_bypass_rows(d.n, d.out) is not None,
         ak_margin=margin,
     )
 

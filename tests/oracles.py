@@ -57,7 +57,7 @@ def oracle_hamiltonian_bypass(d: Digraph) -> Optional[tuple[int, ...]]:
     return None
 
 
-def oracle_ak_margin(d: Digraph, *, z_may_equal_y: bool = True) -> Optional[int]:
+def oracle_ak_margin(d: Digraph) -> Optional[int]:
     """Direct evaluation of the triple-condition margin; None when no clause fires."""
     n = d.n
     best: Optional[int] = None
@@ -66,7 +66,7 @@ def oracle_ak_margin(d: Digraph, *, z_may_equal_y: bool = True) -> Optional[int]
             if x == y or d.has_arc(x, y) or d.has_arc(y, x):
                 continue
             for z in range(n):
-                if z == x or (z == y and not z_may_equal_y):
+                if z == x:
                     continue
                 if not d.has_arc(x, z):
                     s = d.degree(x) + d.degree(y) + d.out_degree(x) + d.in_degree(z)

@@ -254,3 +254,12 @@ def test_bypass_too_small(capsys, tmp_path):
     f = tmp_path / "two.txt"
     f.write_text("2\n0 1\n1 0\n")
     assert run_cli(capsys, "bypass", str(f))[0] == 2
+
+
+@pytest.mark.parametrize("command", ["check", "spectrum", "bypass"])
+def test_non_utf8_file_is_an_input_error(capsys, tmp_path, command):
+    f = tmp_path / "binary.txt"
+    f.write_bytes(b"\xff\xfe3\n")
+    code, out, err = run_cli(capsys, command, str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
