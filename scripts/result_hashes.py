@@ -44,6 +44,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from typing import Optional
 
 from hamlab import harness
@@ -104,9 +105,9 @@ def digests(entry: Entry) -> tuple[str, str]:
     """sha256 of the campaign's result and of the result resumed from its final
     checkpoint, wall times left out."""
     spec, stop_after, slack = entry
-    saved = dict(harness._CLAIM_SLACK)
+    row = harness._CLAIMS[spec.claim]
     if slack is not None:
-        harness._CLAIM_SLACK[spec.claim] = slack
+        harness._CLAIMS[spec.claim] = replace(row, slack=slack)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "checkpoint.json")
@@ -114,8 +115,7 @@ def digests(entry: Entry) -> tuple[str, str]:
             first = run_campaign(spec, stop_after=stop_after, allow_long=True)
             resumed = run_campaign(spec, allow_long=True)
     finally:
-        harness._CLAIM_SLACK.clear()
-        harness._CLAIM_SLACK.update(saved)
+        harness._CLAIMS[spec.claim] = row
     return _sha(first), _sha(resumed)
 
 

@@ -12,9 +12,10 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from typing import Callable, Optional
 
-from .conditions import condition_report
+from .conditions import ConditionVerdict, condition_report
 from .cycles import cycle_spectrum, hamiltonian_bypass
 from .digraph import Digraph, GraphError, ParseError, parse, serialize
 from .generators import (
@@ -35,12 +36,18 @@ from .harness import (
     run_sharded,
 )
 
-_GEN_FAMILIES = {
-    "kstar": (2, "kstar P Q"),
-    "kstar-minus-arc": (2, "kstar-minus-arc P Q"),
-    "two-cliques": (1, "two-cliques M"),
-    "cycle": (1, "cycle N"),
-    "random-strong": (2, "random-strong N ARC_PROB [--seed S]"),
+#: family: (parameter count, usage, constructor of (parameters, seed))
+_GEN_FAMILIES: dict[str, tuple[int, str, Callable[[list[str], int], Digraph]]] = {
+    "kstar": (2, "kstar P Q", lambda a, _: gen_kstar(int(a[0]), int(a[1]))),
+    "kstar-minus-arc": (
+        2, "kstar-minus-arc P Q", lambda a, _: gen_kstar_minus_arc(int(a[0]), int(a[1]))
+    ),
+    "two-cliques": (1, "two-cliques M", lambda a, _: gen_two_cliques(int(a[0]))),
+    "cycle": (1, "cycle N", lambda a, _: gen_directed_cycle(int(a[0]))),
+    "random-strong": (
+        2, "random-strong N ARC_PROB [--seed S]",
+        lambda a, seed: gen_random_strong(int(a[0]), float(a[1]), seed),
+    ),
 }
 
 
@@ -79,18 +86,10 @@ def cmd_check(d: Digraph, args: argparse.Namespace) -> int:
         return 0
     print(f"order {d.n}, arcs {d.arc_count()}")
     print(f"{'condition':<24}{'holds':<8}violations")
-    for name in (
-        "ghouila_houri",
-        "woodall",
-        "meyniel",
-        "min_degree_semidegree",
-        "a0",
-        "bjgl_16",
-        "bjgl_17",
-        "bgy_18",
-    ):
-        verdict = getattr(report, name)
-        print(f"{name:<24}{'yes' if verdict.holds else 'no':<8}{verdict.total_violations}")
+    for f in fields(report):
+        verdict = getattr(report, f.name)
+        if isinstance(verdict, ConditionVerdict):
+            print(f"{f.name:<24}{'yes' if verdict.holds else 'no':<8}{verdict.total_violations}")
     margin = report.ak_margin
     if margin.unbounded:
         print("ak margin: unbounded (no qualifying triple)")
@@ -113,20 +112,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
         return _fail(
             f"unknown family {family!r}; pick one of {', '.join(sorted(_GEN_FAMILIES))}"
         )
-    arity, usage = _GEN_FAMILIES[family]
+    arity, usage, make = _GEN_FAMILIES[family]
     if len(args.params) != arity:
         return _fail(f"family {family} needs {arity} parameter(s): {usage}")
     try:
-        if family == "kstar":
-            d = gen_kstar(int(args.params[0]), int(args.params[1]))
-        elif family == "kstar-minus-arc":
-            d = gen_kstar_minus_arc(int(args.params[0]), int(args.params[1]))
-        elif family == "two-cliques":
-            d = gen_two_cliques(int(args.params[0]))
-        elif family == "cycle":
-            d = gen_directed_cycle(int(args.params[0]))
-        else:
-            d = gen_random_strong(int(args.params[0]), float(args.params[1]), args.seed)
+        d = make(args.params, args.seed)
     except (GraphError, ValueError, GiveUpError) as exc:
         return _fail(str(exc))
     text = serialize(d)
@@ -154,10 +144,8 @@ def _print_verify_report(result: CampaignResult) -> None:
         print(f"exception class (index {exc.index}, {exc.count} labeled copies):")
         for line in exc.digraph.strip().splitlines():
             print(f"  {line}")
-    label = (
-        "conjecture candidate" if spec.claim == "conj19" else "counterexample"
-    )
     for cex in result.counterexamples[:10]:
+        label = "conjecture candidate" if "conjecture_candidate" in cex.detail else "counterexample"
         print(f"{label} at index {cex.index}: {cex.detail}")
     if len(result.counterexamples) > 10:
         print(f"... and {len(result.counterexamples) - 10} more")

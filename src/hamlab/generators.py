@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .digraph import Digraph, GraphError, build, from_rows, strong_rows
+from .digraph import MAX_VERTICES, Digraph, GraphError, build, from_rows, strong_rows
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -85,6 +85,8 @@ def gen_kstar(p: int, q: int) -> Digraph:
     if p < 1 or q < 1:
         raise GraphError("both parts need at least one vertex")
     n = p + q
+    if n > MAX_VERTICES:
+        raise GraphError(f"order {n} outside 1..{MAX_VERTICES}")
     part_b = ((1 << q) - 1) << p
     part_a = (1 << p) - 1
     rows = [part_b if v < p else part_a for v in range(n)]
@@ -104,6 +106,8 @@ def gen_two_cliques(m: int) -> Digraph:
     if m < 2:
         raise GraphError("each clique needs at least two vertices")
     n = 2 * m - 1
+    if n > MAX_VERTICES:
+        raise GraphError(f"order {n} outside 1..{MAX_VERTICES}")
     first = (1 << m) - 1  # {0} + [1, m)
     second = ((1 << (m - 1)) - 1) << m | 1  # {0} + [m, 2m-1)
     rows = []

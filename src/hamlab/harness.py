@@ -61,6 +61,8 @@ from .digraph import (
     CycleWitness,
     Digraph,
     GraphError,
+    ISO_MAX,
+    MAX_VERTICES,
     PathWitness,
     from_rows,
     is_strong,
@@ -72,7 +74,6 @@ from .digraph import (
 )
 from .generators import (
     ENUM_MAX_BITS,
-    TOURNAMENT_MAX_N,
     derived_seed,
     enum_bits,
     gen_kstar,
@@ -82,14 +83,6 @@ from .generators import (
     tournament_rows_from_index,
 )
 
-CLAIMS = ("thm15", "thm110", "conj19", "bypass_claim", "lemma35", "lemma_suite")
-
-#: claims whose exhaustive space is the full labeled digraph space
-_DIGRAPH_CLAIMS = ("thm15", "thm110", "conj19", "lemma35")
-
-#: slack passed to the triple condition per claim
-_CLAIM_SLACK = {"thm15": 0, "thm110": 0, "conj19": 3, "bypass_claim": 0, "lemma35": 0}
-
 #: block width for vectorized screening
 _BLOCK = 1 << 15
 
@@ -98,12 +91,6 @@ _BLOCK = 1 << 15
 #: peak (order 6: 1.2 MB, against 7.3 MB at ``_BLOCK`` and 5.5 MB for a
 #: 1/1021 slice of the labeled space)
 _SMALL_BLOCK = 1 << 12
-
-#: exhaustive digraph space needs an explicit opt-in beyond this order
-_FREE_DIGRAPH_ORDER = 5
-
-#: exhaustive tournament space needs an explicit opt-in beyond this order
-_FREE_TOURNAMENT_ORDER = 6
 
 #: per lemma, the detail keys naming its base B and its second piece Q off B:
 #: a "cycle" base is a cycle (else a path), and an "x" piece is one vertex
@@ -122,9 +109,6 @@ _NTH_BIT = np.array(
     dtype=np.uint8,
 )
 
-#: lemma_suite orders: one 64-bit draw holds the n(n-1) arc bits
-_LEMMA_MAX_N = 8
-
 #: lemma samples turned into Python lists at a time; converting a whole block
 #: at once raised peak memory by about 4 MB
 _LEMMA_CHUNK = 256
@@ -136,6 +120,55 @@ class CampaignError(ValueError):
 
 class CheckpointError(RuntimeError):
     """Checkpoint file missing, corrupt, or written for a different spec."""
+
+
+@dataclass(frozen=True)
+class _Claim:
+    """One claim's row: all the engine knows of it but its conclusion code.
+
+    ``space`` is the exhaustive space, "digraphs" (labeled) or "tournaments";
+    None for the lemma suite, which only samples.  ``max_n`` caps the order
+    in every mode: bypass exception classes need the isomorphism test, capped
+    at ``ISO_MAX``, and one 64-bit draw holds a lemma sample's arcs.
+    ``free_n`` is the highest exhaustive order run without ``allow_long``.
+    ``wanted(n)`` gives the conclusion bits ``_judge`` and ``_vector_gaps``
+    test: the cycle lengths a hit needs, or bit 0 for the lemma35 property
+    and for a Hamiltonian bypass.  ``detail()`` is a fresh result's detail.
+    A row holds no function that a test patches or a tracer wraps.
+    """
+
+    space: Optional[str]
+    max_n: int
+    free_n: int
+    slack: int
+    wanted: Callable[[int], int]
+    detail: Callable[[], dict[str, Any]]
+
+
+def _no_judge(n: int) -> int:
+    raise CampaignError("no conclusion judge for the lemma suite")
+
+
+_CLAIMS = {
+    "thm15": _Claim("digraphs", MAX_VERTICES, 5, 0, lambda n: 1 << n, dict),
+    "thm110": _Claim(
+        "digraphs", MAX_VERTICES, 5, 0, lambda n: 1 << (n - 1),
+        lambda: {"pre_hamiltonian": 0, "kstar": 0},
+    ),
+    "conj19": _Claim("digraphs", MAX_VERTICES, 5, 3, lambda n: (1 << (n + 1)) - (1 << 3), dict),
+    "bypass_claim": _Claim(
+        "tournaments", ISO_MAX, 6, 0, lambda n: 1, lambda: {"exception_members": 0}
+    ),
+    "lemma35": _Claim("digraphs", MAX_VERTICES, 5, 0, lambda n: 1, dict),
+    "lemma_suite": _Claim(
+        None, 8, 5, 0, _no_judge, lambda: {key: {"hits": 0, "successes": 0} for key in _LEMMA_KEYS}
+    ),
+}
+
+CLAIMS = tuple(_CLAIMS)
+
+#: bits of a position in each exhaustive space
+_SPACE_BITS = {"digraphs": enum_bits, "tournaments": lambda n: n * (n - 1) // 2}
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +195,15 @@ class CampaignSpec:
     checkpoint_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.claim not in CLAIMS:
+        if self.claim not in _CLAIMS:
             raise CampaignError(f"unknown claim {self.claim!r}; pick one of {', '.join(CLAIMS)}")
-        if not 4 <= self.n <= 64:
-            raise CampaignError(f"campaign order {self.n} outside 4..64")
+        row = _CLAIMS[self.claim]
+        if not 4 <= self.n <= row.max_n:
+            raise CampaignError(f"{self.claim} order {self.n} outside 4..{row.max_n}")
         if self.mode not in ("exhaustive", "sample"):
             raise CampaignError(f"mode must be 'exhaustive' or 'sample', got {self.mode!r}")
-        if self.claim == "lemma_suite" and self.mode != "sample":
-            raise CampaignError("lemma_suite only runs in sample mode")
+        if row.space is None and self.mode != "sample":
+            raise CampaignError(f"{self.claim} only runs in sample mode")
         if self.shards < 1 or not 0 <= self.shard < self.shards:
             raise CampaignError(f"shard {self.shard} outside 0..{self.shards - 1}")
         if not 0 <= self.seed < 1 << 64:
@@ -182,21 +216,10 @@ class CampaignSpec:
         else:
             if self.samples != 0:
                 raise CampaignError("samples only applies to sample mode")
-            if self.claim in _DIGRAPH_CLAIMS and enum_bits(self.n) > ENUM_MAX_BITS:
+            if _SPACE_BITS[row.space](self.n) > ENUM_MAX_BITS:
                 raise CampaignError(
-                    f"labeled space of order {self.n} exceeds the enumeration cap"
+                    f"space of order-{self.n} {row.space} exceeds the enumeration cap"
                 )
-            if self.claim == "bypass_claim" and self.n > TOURNAMENT_MAX_N:
-                raise CampaignError(
-                    f"tournament enumeration capped at order {TOURNAMENT_MAX_N}"
-                )
-        if self.claim == "bypass_claim" and self.n > 8:
-            raise CampaignError("bypass exception dedup needs order <= 8")
-        if self.claim == "lemma_suite" and self.n > _LEMMA_MAX_N:
-            raise CampaignError(
-                f"lemma_suite draws every arc from one 64-bit word; order {self.n} "
-                f"exceeds {_LEMMA_MAX_N}"
-            )
 
     def identity(self) -> dict[str, Any]:
         return {key: getattr(self, key) for key in _IDENTITY}
@@ -495,10 +518,15 @@ def checkpoint_load(path: str, spec: CampaignSpec) -> tuple[CampaignResult, int]
         cursor, result.scanned, result.strong, result.hypothesis_hits, result.verified,
         result.elapsed_ms,
     )
-    if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in counters):
+    if not all(map(_is_count, counters)):
         raise CheckpointError(
             f"corrupt checkpoint {path}: counters, cursor and elapsed_ms must be "
             "non-negative integers"
+        )
+    if not _counts_like(result.detail, _CLAIMS[spec.claim].detail()):
+        raise CheckpointError(
+            f"corrupt checkpoint {path}: detail must have exactly the keys of "
+            f"{_CLAIMS[spec.claim].detail()}, with non-negative integer counts"
         )
     if cursor % spec.shards != spec.shard or cursor >= _space_size(spec) + spec.shards:
         raise CheckpointError(
@@ -512,6 +540,18 @@ def checkpoint_load(path: str, spec: CampaignSpec) -> tuple[CampaignResult, int]
             f"corrupt checkpoint {path}: verified + counterexamples exceeds hits"
         )
     return result, cursor
+
+
+def _is_count(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _counts_like(saved: Any, fresh: dict[str, Any]) -> bool:
+    """Whether ``saved`` has exactly the keys of ``fresh``, nested alike, with counts."""
+    return isinstance(saved, dict) and saved.keys() == fresh.keys() and all(
+        _counts_like(saved[k], v) if isinstance(v, dict) else _is_count(saved[k])
+        for k, v in fresh.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +569,7 @@ class _Tally:
         self, spec: CampaignSpec, saved: Optional[tuple[CampaignResult, int]] = None
     ) -> None:
         if saved is None:
-            detail = _fresh_detail(spec.claim)
+            detail = _CLAIMS[spec.claim].detail()
             saved = CampaignResult(spec, 0, 0, 0, 0, (), (), detail, None, False, 0), spec.shard
         result, self.cursor = saved
         self.spec = spec
@@ -566,22 +606,10 @@ class _Tally:
         _fold_exception(self.exception_classes, index, d, 1)
 
 
-def _fresh_detail(claim: str) -> dict[str, Any]:
-    if claim == "thm110":
-        return {"pre_hamiltonian": 0, "kstar": 0}
-    if claim == "bypass_claim":
-        return {"exception_members": 0}
-    if claim == "lemma_suite":
-        return {key: {"hits": 0, "successes": 0} for key in _LEMMA_KEYS}
-    return {}
-
-
 def _space_size(spec: CampaignSpec) -> int:
     if spec.mode == "sample":
         return spec.samples
-    if spec.claim == "bypass_claim":
-        return 1 << (spec.n * (spec.n - 1) // 2)
-    return 1 << enum_bits(spec.n)
+    return 1 << _SPACE_BITS[_CLAIMS[spec.claim].space](spec.n)
 
 
 def _shard_total(spec: CampaignSpec) -> int:
@@ -595,32 +623,18 @@ def _confirm_hit(n: int, rows: list[int], slack: int) -> None:
         )
 
 
-def _wanted(claim: str, n: int) -> int:
-    """Conclusion bits of a claim: the cycle lengths it needs (bit 0 for lemma35,
-    and for bypass_claim, where it means "has a Hamiltonian bypass")."""
-    if claim == "thm15":
-        return 1 << n
-    if claim == "thm110":
-        return 1 << (n - 1)
-    if claim == "conj19":
-        return (1 << (n + 1)) - (1 << 3)
-    if claim in ("lemma35", "bypass_claim"):
-        return 1
-    raise CampaignError(f"no conclusion judge for claim {claim!r}")
-
-
 def _judge(
     claim: str, n: int, rows: list[int]
 ) -> tuple[bool, Optional[str], dict[str, Any], int]:
     """Check one claim's conclusion.
 
     Returns (ok, branch counter, failure detail, missing): ``missing`` holds
-    the bits of ``_wanted(claim, n)`` the digraph lacks.  thm110's kstar
+    the bits of the claim's ``wanted(n)`` the digraph lacks.  thm110's kstar
     branch is verified although its cycle of length n-1 is missing, and so
     is a bypass_claim hit without a bypass, which the caller excuses as an
     exception member.
     """
-    wanted = _wanted(claim, n)
+    wanted = _CLAIMS[claim].wanted(n)
     if claim == "lemma35":
         missing = 0 if lemma35_rows(n, rows) else wanted
     elif claim == "bypass_claim":
@@ -656,7 +670,7 @@ def _judge(
 
 def _vector_gaps(claim: str, n: int, rows: np.ndarray) -> np.ndarray:
     """Per hit, the conclusion bits the vector kernels find missing (0: verified)."""
-    wanted = np.uint16(_wanted(claim, n))
+    wanted = np.uint16(_CLAIMS[claim].wanted(n))
     if claim == "lemma35":
         return wanted * ~scan.lemma35_flags(n, rows)
     if claim == "bypass_claim":
@@ -674,7 +688,7 @@ def _record_hit(
     carries its sample ordinal and the stream seed that regenerates it.
     """
     claim, n = spec.claim, spec.n
-    _confirm_hit(n, rows, _CLAIM_SLACK[claim])
+    _confirm_hit(n, rows, _CLAIMS[claim].slack)
     ok, branch, failure, missing = _judge(claim, n, rows)
     if gaps is not None and missing != gaps:
         raise RuntimeError("vector and scalar conclusion judges disagree on a hypothesis hit")
@@ -712,7 +726,7 @@ def _record_block(
     scalar = np.ones(indices.size, dtype=bool)
     gaps: list[Optional[int]] = [None] * indices.size
     if n <= scan.HIT_MAX_N:
-        if not scan.confirm_flags(n, rows, _CLAIM_SLACK[claim]).all():
+        if not scan.confirm_flags(n, rows, _CLAIMS[claim].slack).all():
             raise RuntimeError("vectorized screens and vector confirmation disagree on a hit")
         found = _vector_gaps(claim, n, rows)
         scalar = found != 0
@@ -720,7 +734,7 @@ def _record_block(
         settled = indices.size - int(scalar.sum())
         tally.hits += settled
         tally.verified += settled
-        if claim == "thm110":
+        if "pre_hamiltonian" in tally.detail:
             tally.detail["pre_hamiltonian"] += settled
         gaps = found.tolist()
     for i in np.flatnonzero(scalar).tolist():
@@ -746,17 +760,12 @@ def run_campaign(
     every block.  With a checkpoint path, the partial result is saved after
     every block and the returned one at the end.
     """
-    if spec.mode == "exhaustive" and not allow_long:
-        if spec.claim in _DIGRAPH_CLAIMS and spec.n > _FREE_DIGRAPH_ORDER:
-            raise CampaignError(
-                f"exhaustive digraph scan at order {spec.n} is a long run; "
-                "pass allow_long to opt in"
-            )
-        if spec.claim == "bypass_claim" and spec.n > _FREE_TOURNAMENT_ORDER:
-            raise CampaignError(
-                f"exhaustive tournament scan at order {spec.n} is a long run; "
-                "pass allow_long to opt in"
-            )
+    row = _CLAIMS[spec.claim]
+    if spec.mode == "exhaustive" and not allow_long and spec.n > row.free_n:
+        raise CampaignError(
+            f"exhaustive scan of order-{spec.n} {row.space} is a long run; "
+            "pass allow_long to opt in"
+        )
     started = time.monotonic()
     saved = None
     if spec.checkpoint_path and os.path.exists(spec.checkpoint_path):
@@ -794,7 +803,7 @@ def _strong_rows_at(spec: CampaignSpec, positions: np.ndarray) -> tuple[np.ndarr
     if spec.mode == "sample":
         seeds = scan.seeds_for(spec.seed, positions)
         return scan.sample_strong_rows(n, spec.arc_prob, seeds), positions
-    if spec.claim == "bypass_claim":
+    if _CLAIMS[spec.claim].space == "tournaments":
         rows = scan.tournament_rows(n, positions)
         if rows[0].tolist() != tournament_rows_from_index(n, int(positions[0])):
             raise RuntimeError("vector and scalar tournament decodes disagree")
@@ -817,10 +826,10 @@ def _run_space(
     unprocessed position (an abandoned block is never persisted: checkpoints
     are written only after the block's tallies are in).
     """
-    lemmas = spec.claim == "lemma_suite"
-    body = _lemma_block if lemmas else _screen_block
-    tournaments = spec.claim == "bypass_claim" and spec.mode == "exhaustive"
-    width = _SMALL_BLOCK if lemmas or tournaments else _BLOCK
+    kind = _CLAIMS[spec.claim].space
+    body = _screen_block if kind else _lemma_block
+    tournaments = kind == "tournaments" and spec.mode == "exhaustive"
+    width = _SMALL_BLOCK if not kind or tournaments else _BLOCK
     space, done = _space_size(spec), 0
     while tally.cursor < space and (stop_after is None or done < stop_after):
         take = width if stop_after is None else min(width, stop_after - done)
@@ -838,7 +847,7 @@ def _screen_block(spec: CampaignSpec, tally: _Tally, positions: np.ndarray) -> N
     rows, kept = _strong_rows_at(spec, positions)
     tally.strong += kept.size
     if kept.size:
-        passing = scan.triple_condition_flags(spec.n, rows, _CLAIM_SLACK[spec.claim])
+        passing = scan.triple_condition_flags(spec.n, rows, _CLAIMS[spec.claim].slack)
         _record_block(tally, spec, rows[passing], kept[passing])
 
 

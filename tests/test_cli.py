@@ -7,7 +7,7 @@ import pytest
 
 from hamlab import generators
 from hamlab.cli import main
-from hamlab.harness import CampaignSpec
+from hamlab.harness import CampaignSpec, run_campaign
 from hamlab.digraph import parse, serialize
 from hamlab.generators import gen_kstar, gen_random_strong, gen_two_cliques
 
@@ -58,6 +58,18 @@ def test_gen_random_strong_without_arcs_fails_at_once(capsys):
     assert code == 0 and parse(out).n == 1
 
 
+@pytest.mark.parametrize("params", [("kstar", "40", "40"), ("two-cliques", "40")])
+def test_gen_rejects_orders_above_64(capsys, params):
+    code, out, err = run_cli(capsys, "gen", *params)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "outside 1..64" in err
+
+
+def test_gen_kstar_at_order_64(capsys):
+    code, out, _ = run_cli(capsys, "gen", "kstar", "32", "32")
+    assert code == 0 and parse(out).n == 64
+
+
 def test_gen_rejects_bad_family_and_arity(capsys):
     assert run_cli(capsys, "gen", "moebius", "3")[0] == 2
     assert run_cli(capsys, "gen", "kstar", "3")[0] == 2
@@ -80,11 +92,18 @@ def test_check_table_output(capsys, tmp_path):
     f.write_text(serialize(gen_kstar(3, 3)))
     code, out, _ = run_cli(capsys, "check", str(f))
     assert code == 0
-    assert "order 6, arcs 18" in out
-    assert "ak margin: 2" in out
-    assert "kstar_balanced=3x3" in out
-    assert "hamiltonian=yes" in out
-    assert "pre_hamiltonian=no" in out
+    verdicts = (
+        "ghouila_houri", "woodall", "meyniel", "min_degree_semidegree", "a0", "bjgl_16",
+        "bjgl_17", "bgy_18",
+    )
+    assert out.splitlines() == [
+        "order 6, arcs 18",
+        f"{'condition':<24}{'holds':<8}violations",
+        *(f"{name:<24}{'yes':<8}0" for name in verdicts),
+        "ak margin: 2",
+        "classification: strong=yes, hamiltonian=yes, pre_hamiltonian=no, pancyclic=no, "
+        "ham_bypass=yes, kstar_balanced=3x3",
+    ]
 
 
 def test_check_json_output(capsys, tmp_path):
@@ -168,6 +187,19 @@ def test_verify_rejects_misaligned_checkpoint(capsys, tmp_path):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert "cursor" in err and out == ""
+
+
+def test_verify_rejects_a_checkpoint_without_its_detail(capsys, tmp_path):
+    cp = str(tmp_path / "cp.json")
+    run_campaign(CampaignSpec(claim="thm110", n=5, checkpoint_path=cp), stop_after=40_000)
+    with open(cp, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["detail"] = {}
+    with open(cp, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    code, out, err = run_cli(capsys, "verify", "thm110", "--n", "5", "--checkpoint", cp)
+    assert code == 2 and out == ""
+    assert err.startswith("error: corrupt checkpoint") and "detail" in err
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

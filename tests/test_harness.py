@@ -70,6 +70,7 @@ def test_spec_rejects_bad_inputs():
         dict(claim="thm15", n=4, samples=5),
         dict(claim="thm15", n=7),  # 42 bits > enumeration cap
         dict(claim="bypass_claim", n=9),
+        dict(claim="bypass_claim", n=9, mode="sample", samples=10),
         dict(claim="thm15", n=4, seed=-1),
         dict(claim="thm15", n=4, seed=1 << 64),
     ]
@@ -238,10 +239,12 @@ def test_bypass_campaign_n5_single_exception_class():
 
 
 def test_long_run_gate():
-    with pytest.raises(CampaignError):
-        run_campaign(CampaignSpec(claim="thm15", n=6))
-    with pytest.raises(CampaignError):
-        run_campaign(CampaignSpec(claim="bypass_claim", n=7))
+    for claim, free_n in (("thm15", 5), ("bypass_claim", 6)):
+        long = CampaignSpec(claim=claim, n=free_n + 1)
+        with pytest.raises(CampaignError, match="allow_long"):
+            run_campaign(long)
+        assert run_campaign(long, stop_after=1, allow_long=True).scanned == 1
+        assert run_campaign(CampaignSpec(claim=claim, n=free_n), stop_after=1).scanned == 1
 
 
 # --- the block hit stage ---------------------------------------------------------------
@@ -325,8 +328,8 @@ def test_sampled_order9_takes_scalar_route_frozen_counts(monkeypatch):
 
 def test_negative_verdicts_keep_scalar_detail(monkeypatch):
     # below the slack-0 bound thm15 and conj19 have real failures
-    monkeypatch.setitem(harness._CLAIM_SLACK, "thm15", -4)
-    monkeypatch.setitem(harness._CLAIM_SLACK, "conj19", -4)
+    for claim in ("thm15", "conj19"):
+        monkeypatch.setitem(harness._CLAIMS, claim, replace(harness._CLAIMS[claim], slack=-4))
     res = run_campaign(CampaignSpec(claim="thm15", n=4))
     assert len(res.counterexamples) == res.hypothesis_hits - res.verified == 412
     assert [c.index for c in res.counterexamples] == sorted(c.index for c in res.counterexamples)
@@ -762,10 +765,11 @@ def test_checkpoint_rejects_missing_keys(tmp_path):
         checkpoint_load(cp, spec)
 
 
-def _tampered_checkpoint(tmp_path, **changes):
-    """A real mid-run checkpoint of thm15 n=4, shard 0 of 3, with fields overwritten."""
+def _tampered_checkpoint(tmp_path, claim="thm110", **changes):
+    """A real mid-run checkpoint of ``claim`` at n=4, shard 0 of 3, with fields overwritten."""
     cp = str(tmp_path / "tampered.json")
-    spec = CampaignSpec(claim="thm15", n=4, shards=3, checkpoint_path=cp)
+    sampled = dict(mode="sample", samples=900) if claim == "lemma_suite" else {}
+    spec = CampaignSpec(claim=claim, n=4, shards=3, checkpoint_path=cp, **sampled)
     run_campaign(spec, stop_after=300)
     with open(cp, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -789,11 +793,17 @@ def _tampered_checkpoint(tmp_path, **changes):
         ("verified", lambda v: -1),
         ("verified", lambda v: v + 1),  # verified + counterexamples > hits
         ("counterexamples", lambda v: 5),
+        ("detail", lambda d: {}),
+        ("detail", lambda d: {**d, "exception_members": 0}),
+        ("detail", lambda d: {**d, "kstar": -1}),
+        ("detail", lambda d: {**d, "pre_hamiltonian": True}),
+        ("detail", lambda d: [0, 0]),
     ],
     ids=[
         "cursor-misaligned", "cursor-negative", "cursor-past-end", "cursor-not-int",
         "scanned-negative", "strong-negative", "hits-negative", "verified-negative",
-        "verified-above-hits", "counterexamples-not-list",
+        "verified-above-hits", "counterexamples-not-list", "detail-keys-dropped",
+        "detail-stray-key", "detail-negative", "detail-bool", "detail-not-dict",
     ],
 )
 def test_checkpoint_rejects_inconsistent_state(tmp_path, field, change):
@@ -801,6 +811,22 @@ def test_checkpoint_rejects_inconsistent_state(tmp_path, field, change):
     with pytest.raises(CheckpointError):
         checkpoint_load(cp, spec)
     with pytest.raises(CheckpointError):
+        run_campaign(spec)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda d: {**d, "merge": {"hits": 1}},
+        lambda d: {**d, "merge": 3},
+        lambda d: {**d, "merge": {**d["merge"], "successes": -1}},
+        lambda d: {k: v for k, v in d.items() if k != "insertion"},
+    ],
+    ids=["inner-key-dropped", "inner-not-dict", "inner-negative", "lemma-dropped"],
+)
+def test_checkpoint_rejects_a_bad_lemma_detail(tmp_path, change):
+    cp, spec = _tampered_checkpoint(tmp_path, "lemma_suite", detail=change)
+    with pytest.raises(CheckpointError, match="detail"):
         run_campaign(spec)
 
 
