@@ -31,8 +31,9 @@ The set has 60 campaigns:
   hashed too.  lemma35 is left out: its judge raises below slack 0.
 
 The first line is one sha256 over ``condition_report(d).to_json()``,
-``classify(d).to_json()`` and ``lemma35_holds(d).to_json()`` (or its
-HypothesisUnmet text) of every labeled digraph of orders 1-4 (4,165) and of
+``condition_a_k(d, k).to_json()`` for k in {-2, 3}, ``classify(d).to_json()``
+and ``lemma35_holds(d).to_json()`` (or its HypothesisUnmet text) of every
+labeled digraph of orders 1-4 (4,165) and of
 ``gen_random_strong(n, p, s)`` for n = 5..9, p in {0.3, 0.6, 0.9} and
 s = 0..9, so the scalar conditions and classification are held bit for bit
 as well.
@@ -48,7 +49,7 @@ from dataclasses import replace
 from typing import Optional
 
 from hamlab import harness
-from hamlab.conditions import condition_report, lemma35_holds
+from hamlab.conditions import condition_a_k, condition_report, lemma35_holds
 from hamlab.digraph import HypothesisUnmet
 from hamlab.generators import enum_labeled, gen_random_strong
 from hamlab.harness import CampaignResult, CampaignSpec, classify, run_campaign
@@ -132,7 +133,12 @@ def scalar_digest() -> str:
             lemma = lemma35_holds(d).to_json()
         except HypothesisUnmet as exc:
             lemma = f"HypothesisUnmet: {exc}"
-        data = [condition_report(d).to_json(), classify(d).to_json(), lemma]
+        data = [
+            condition_report(d).to_json(),
+            *(condition_a_k(d, k).to_json() for k in (-2, 3)),
+            classify(d).to_json(),
+            lemma,
+        ]
         digest.update(json.dumps(data, separators=(",", ":")).encode() + b"\n")
     return digest.hexdigest()
 

@@ -12,6 +12,7 @@ verification harness can call them in bulk without building Digraph objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
@@ -187,62 +188,19 @@ def min_degree_semidegree(d: Digraph) -> ConditionVerdict:
     return _verdict("min_degree_semidegree", items())
 
 
-def _triple_clauses(n: int, rows: Sequence[int]) -> Iterator[tuple[int, int, int, str, int]]:
-    """Yield (x, y, z, clause, attained_sum) for every qualifying clause.
+def _clauses_below(
+    n: int, rows: Sequence[int], bound: float
+) -> Iterator[tuple[int, int, int, str, int]]:
+    """Yield (x, y, z, clause, attained_sum) for every qualifying clause whose
+    sum is below ``bound`` (``math.inf`` yields them all).
 
     Qualifying: x, y distinct and non-adjacent, z any vertex other than x
     (z = y included), and the named arc absent.  Both orderings of each
     non-adjacent pair are scanned.  The z = y clauses matter: complete
     bipartite digraphs with parts of size two have no qualifying triple at
-    all without them.
+    all without them.  This is the one scalar statement of the triple
+    condition; every scalar verdict, margin and confirmation reads it.
     """
-    out_deg, in_deg, deg = _degree_arrays(n, rows)
-    for x in range(n):
-        row_x = rows[x]
-        for y in range(n):
-            if y == x or (row_x >> y | rows[y] >> x) & 1:
-                continue
-            pair_sum = deg[x] + deg[y]
-            for z in range(n):
-                if z == x:
-                    continue
-                if not row_x >> z & 1:
-                    yield x, y, z, "x->z", pair_sum + out_deg[x] + in_deg[z]
-                if not rows[z] >> x & 1:
-                    yield x, y, z, "z->x", pair_sum + in_deg[x] + out_deg[z]
-
-
-def condition_a_k(d: Digraph, k: int) -> ConditionVerdict:
-    """Triple degree-sum condition with slack ``k``.
-
-    For every triple (x, y, z) with x, y non-adjacent and z != x: a missing
-    arc x->z requires d(x)+d(y)+d+(x)+d-(z) >= 3n-2+k, and a missing arc
-    z->x requires d(x)+d(y)+d-(x)+d+(z) >= 3n-2+k.  Negative slack is allowed
-    so margins below zero can be probed directly.  ``worst`` is the violated
-    clause of least sum over all violations.
-    """
-    required = 3 * d.n - 2 + k
-    clauses = _triple_clauses(d.n, d.out)
-    verdict = _verdict(f"a{k}", ((c[4], c, c) for c in clauses if c[4] < required))
-    return replace(
-        verdict,
-        witnesses=tuple(TripleViolation(*c, required) for c in verdict.witnesses),
-        worst=verdict.worst and TripleViolation(*verdict.worst, required),
-    )
-
-
-def ak_margin(d: Digraph) -> AkMargin:
-    """Largest slack still satisfied: min qualifying sum minus (3n - 2).
-
-    Unbounded when no clause qualifies (for instance, no non-adjacent pair).
-    """
-    best = min((c[4] for c in _triple_clauses(d.n, d.out)), default=None)
-    return AkMargin(None if best is None else best - (3 * d.n - 2))
-
-
-def holds_a_k_rows(n: int, rows: Sequence[int], k: int = 0) -> bool:
-    """Early-exit row-level check of the triple condition with slack ``k``."""
-    bound = 3 * n - 2 + k
     out_deg, in_deg, deg = _degree_arrays(n, rows)
     for x in range(n):
         row_x = rows[x]
@@ -256,10 +214,43 @@ def holds_a_k_rows(n: int, rows: Sequence[int], k: int = 0) -> bool:
                 if z == x:
                     continue
                 if not row_x >> z & 1 and in_deg[z] < need_in:
-                    return False
+                    yield x, y, z, "x->z", base + out_deg[x] + in_deg[z]
                 if not rows[z] >> x & 1 and out_deg[z] < need_out:
-                    return False
-    return True
+                    yield x, y, z, "z->x", base + in_deg[x] + out_deg[z]
+
+
+def condition_a_k(d: Digraph, k: int) -> ConditionVerdict:
+    """Triple degree-sum condition with slack ``k``.
+
+    For every triple (x, y, z) with x, y non-adjacent and z != x: a missing
+    arc x->z requires d(x)+d(y)+d+(x)+d-(z) >= 3n-2+k, and a missing arc
+    z->x requires d(x)+d(y)+d-(x)+d+(z) >= 3n-2+k.  Negative slack is allowed
+    so margins below zero can be probed directly.  ``worst`` is the violated
+    clause of least sum over all violations.
+    """
+    required = 3 * d.n - 2 + k
+    clauses = _clauses_below(d.n, d.out, required)
+    verdict = _verdict(f"a{k}", ((c[4], c, c) for c in clauses))
+    return replace(
+        verdict,
+        witnesses=tuple(TripleViolation(*c, required) for c in verdict.witnesses),
+        worst=verdict.worst and TripleViolation(*verdict.worst, required),
+    )
+
+
+def ak_margin(d: Digraph) -> AkMargin:
+    """Largest slack still satisfied: min qualifying sum minus (3n - 2).
+
+    Unbounded when no clause qualifies (for instance, no non-adjacent pair).
+    """
+    best = min((c[4] for c in _clauses_below(d.n, d.out, math.inf)), default=None)
+    return AkMargin(None if best is None else best - (3 * d.n - 2))
+
+
+def holds_a_k_rows(n: int, rows: Sequence[int], k: int = 0) -> bool:
+    """Row-level check of the triple condition with slack ``k``: no clause
+    below 3n - 2 + k, stopping at the first."""
+    return next(_clauses_below(n, rows, 3 * n - 2 + k), None) is None
 
 
 def bjgl_16(d: Digraph) -> ConditionVerdict:

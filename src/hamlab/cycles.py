@@ -29,7 +29,6 @@ from .digraph import (
     HypothesisUnmet,
     PathWitness,
     bits,
-    degree_toward,
     mask_of,
 )
 
@@ -147,6 +146,24 @@ def _cover_path_rows(
     if start == goal:
         return (start,) if pool == 1 << start else None
     return _first_path(rows, start, pool & ~(1 << goal), pool.bit_count(), 1 << goal)
+
+
+def lemma_gate(
+    rows: Sequence[int], base: Sequence[int], q: Sequence[int], on_cycle: bool
+) -> tuple[int, int]:
+    """(degree, need) of the degree hypothesis for a path Q off a base B.
+
+    degree is d-(head Q, B) + d+(tail Q, B), and the hypothesis is degree >=
+    need, where need is |B| + 1 when B is a cycle and |B| + [last B -> head Q]
+    + [tail Q -> first B] when B is a path.  With Q = (x) these are d(x, C) >=
+    |C| + 1 and ``insert_vertex``'s three-case guarantee.
+    """
+    head, out = q[0], rows[q[-1]]
+    degree = 0
+    for b in base:
+        degree += (rows[b] >> head & 1) + (out >> b & 1)
+    ends = 1 if on_cycle else (rows[base[-1]] >> head & 1) + (out >> base[0] & 1)
+    return degree, len(base) + ends
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +340,11 @@ def absorb_path_into_cycle(
     q.validate(d)
     if c.mask() & q.mask():
         raise GraphError("path and cycle must be vertex-disjoint")
+    degree, need = lemma_gate(d.out, c.vertices, q.vertices, True)
+    if degree < need:
+        raise HypothesisUnmet(f"d-(head, C) + d+(tail, C) = {degree} < {need}")
     k = len(c)
     r = len(q)
-    _, head_in, _ = degree_toward(d, q.first, c.vertices)
-    tail_out, _, _ = degree_toward(d, q.last, c.vertices)
-    if head_in + tail_out < k + 1:
-        raise HypothesisUnmet(f"d-(head, C) + d+(tail, C) = {head_in + tail_out} < {k + 1}")
     pool = c.mask() | q.mask()
     out: dict[int, CycleWitness] = {}
     for length in range(r + 1, k + r + 1):
@@ -351,12 +367,9 @@ def merge_path(d: Digraph, p: PathWitness, q: PathWitness) -> PathWitness:
     q.validate(d)
     if p.mask() & q.mask():
         raise GraphError("paths must be vertex-disjoint")
-    k = len(p)
-    _, head_in, _ = degree_toward(d, q.first, p.vertices)
-    tail_out, _, _ = degree_toward(d, q.last, p.vertices)
-    need = k + int(d.has_arc(p.last, q.first)) + int(d.has_arc(q.last, p.first))
-    if head_in + tail_out < need:
-        raise HypothesisUnmet(f"d-(head, P) + d+(tail, P) = {head_in + tail_out} < {need}")
+    degree, need = lemma_gate(d.out, p.vertices, q.vertices, False)
+    if degree < need:
+        raise HypothesisUnmet(f"d-(head, P) + d+(tail, P) = {degree} < {need}")
     found = _cover_path_rows(d.out, p.first, p.last, p.mask() | q.mask())
     if found is None:
         raise LemmaViolation("guaranteed covering path not found")
@@ -393,33 +406,38 @@ def extend_maximally(d: Digraph, p: PathWitness, pool: Iterable[int]) -> Extensi
 def _shortest_interior(
     d: Digraph, entry: int, exit_: int, pool: int
 ) -> Optional[tuple[int, ...]]:
-    """Lex-first shortest chain entry -> ... -> exit with interior inside pool."""
-    layer = d.out[entry] & pool
-    parent: dict[int, Optional[int]] = {v: None for v in bits(layer)}
-    seen = 0
-    while layer:
-        for v in bits(layer):
-            if d.out[v] >> exit_ & 1:
-                chain = [v]
-                while parent[chain[-1]] is not None:
-                    chain.append(parent[chain[-1]])  # type: ignore[arg-type]
-                return tuple(reversed(chain))
-        seen |= layer
-        nxt = 0
-        for v in bits(layer):
-            fresh = d.out[v] & pool & ~seen & ~nxt
-            for w in bits(fresh):
-                parent[w] = v
-            nxt |= fresh
-        layer = nxt
-    return None
+    """Lex-first shortest chain entry -> ... -> exit with interior inside pool.
+
+    Layers of distance to ``exit_`` inside the pool come from a reverse
+    breadth-first search; the walk from ``entry`` then takes the lowest
+    out-neighbour one layer closer at every step.  O(n^2) on bitmasks.
+    """
+    layers = [d.inn[exit_] & pool]
+    seen = layers[0]
+    while layers[-1] and not d.out[entry] & layers[-1]:
+        farther = 0
+        for v in bits(layers[-1]):
+            farther |= d.inn[v]
+        layers.append(farther & pool & ~seen)
+        seen |= layers[-1]
+    chain: list[int] = []
+    reach = d.out[entry]
+    for layer in reversed(layers):
+        step = reach & layer
+        if not step:
+            return None
+        low = step & -step
+        chain.append(low.bit_length() - 1)
+        reach = d.out[chain[-1]]
+    return tuple(chain)
 
 
 def find_c_bypass(d: Digraph, c: CycleWitness) -> Optional[Bypass]:
     """Minimum-gap detour around a non-spanning cycle.
 
     Among all detours the one with the smallest gap wins; ties go to the
-    lowest entry id, then to the shortest interior (breadth-first search).
+    lowest entry id, then to the shortest interior, and among interiors of
+    that length to the lexicographically least vertex sequence.
     """
     c.validate(d)
     if len(c) == d.n:

@@ -62,7 +62,7 @@ class Digraph:
     """Simple loop-free digraph on vertices 0..n-1 (n <= 64).
 
     ``out[v]`` / ``inn[v]`` are bitmasks of out- and in-neighbours.  The two
-    views are mirror images of each other; ``build`` keeps them consistent.
+    views are mirror images of each other; ``from_rows`` derives the second.
     """
 
     n: int
@@ -107,22 +107,25 @@ def from_rows(n: int, rows: Sequence[int]) -> Digraph:
     return Digraph(n, tuple(rows), tuple(inn))
 
 
+def _add_arc(n: int, out: list[int], u: int, v: int) -> None:
+    """Set the arc u->v in ``out``, rejecting loops, range errors and repeats."""
+    if u == v:
+        raise GraphError(f"loop arc ({u}, {v})")
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphError(f"arc ({u}, {v}) out of range for n={n}")
+    if out[u] >> v & 1:
+        raise GraphError(f"duplicate arc ({u}, {v})")
+    out[u] |= 1 << v
+
+
 def build(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     """Construct a digraph, rejecting loops, range errors and duplicate arcs."""
     if not 1 <= n <= MAX_VERTICES:
         raise GraphError(f"order {n} outside 1..{MAX_VERTICES}")
     out = [0] * n
-    inn = [0] * n
     for u, v in arcs:
-        if u == v:
-            raise GraphError(f"loop arc ({u}, {v})")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"arc ({u}, {v}) out of range for n={n}")
-        if out[u] >> v & 1:
-            raise GraphError(f"duplicate arc ({u}, {v})")
-        out[u] |= 1 << v
-        inn[v] |= 1 << u
-    return Digraph(n, tuple(out), tuple(inn))
+        _add_arc(n, out, u, v)
+    return from_rows(n, out)
 
 
 def degrees(d: Digraph, x: int) -> tuple[int, int, int]:
@@ -272,7 +275,6 @@ def parse(text: str) -> Digraph:
     """
     n: Optional[int] = None
     out: list[int] = []
-    inn: list[int] = []
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
@@ -285,23 +287,17 @@ def parse(text: str) -> Digraph:
             if not 1 <= n <= MAX_VERTICES:
                 raise ParseError(f"order {n} outside 1..{MAX_VERTICES}", lineno)
             out = [0] * n
-            inn = [0] * n
             continue
         m = _ARC_LINE.fullmatch(body)
         if m is None:
             raise ParseError(f"expected arc line 'u v', got {body!r}", lineno)
-        u, v = int(m.group(1)), int(m.group(2))
-        if u == v:
-            raise ParseError(f"loop arc ({u}, {v})", lineno)
-        if u >= n or v >= n:
-            raise ParseError(f"arc ({u}, {v}) out of range for n={n}", lineno)
-        if out[u] >> v & 1:
-            raise ParseError(f"duplicate arc ({u}, {v})", lineno)
-        out[u] |= 1 << v
-        inn[v] |= 1 << u
+        try:
+            _add_arc(n, out, int(m.group(1)), int(m.group(2)))
+        except GraphError as exc:
+            raise ParseError(str(exc), lineno) from None
     if n is None:
         raise ParseError("missing vertex count line", lineno + 1)
-    return Digraph(n, tuple(out), tuple(inn))
+    return from_rows(n, out)
 
 
 def serialize(d: Digraph) -> str:

@@ -55,6 +55,7 @@ from .cycles import (
     find_path_rows,
     hamiltonian_bypass_rows,
     insert_vertex,
+    lemma_gate,
     merge_path,
 )
 from .digraph import (
@@ -87,10 +88,15 @@ from .generators import (
 _BLOCK = 1 << 15
 
 #: block width over a tournament space and of the lemma suite; over
-#: tournaments the narrower block keeps its checkpoint cadence and its memory
+#: tournaments the narrower block keeps its progress cadence and its memory
 #: peak (order 6: 1.2 MB, against 7.3 MB at ``_BLOCK`` and 5.5 MB for a
 #: 1/1021 slice of the labeled space)
 _SMALL_BLOCK = 1 << 12
+
+#: least seconds of a run from the end of one checkpoint save to the next; a
+#: save rewrites every counterexample so far, and one per block cost 3.8% of
+#: an order-6 scan
+_SAVE_EVERY_S = 1.0
 
 #: per lemma, the detail keys naming its base B and its second piece Q off B:
 #: a "cycle" base is a cycle (else a path), and an "x" piece is one vertex
@@ -474,9 +480,17 @@ def checkpoint_save(path: str, result: CampaignResult, cursor: int) -> None:
     complete, and an ``EnumerationCursor`` for a partial exhaustive scan).
     """
     payload = {"fingerprint": result.spec.fingerprint(), **result.to_json(), "cursor": cursor}
+    _write_checkpoint(path, payload)
+
+
+def _write_checkpoint(path: str, payload: Optional[dict[str, Any]]) -> None:
+    """Write ``payload`` to ``path`` through a temporary file and a rename;
+    with no payload, only check that the temporary file can be written."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
+            if payload is None:
+                return
             json.dump(payload, fh)
             fh.write("\n")
         os.replace(tmp, path)
@@ -509,8 +523,8 @@ def checkpoint_load(path: str, spec: CampaignSpec) -> tuple[CampaignResult, int]
         )
     try:
         result = CampaignResult.from_json(payload)
-        for e in result.exceptions:  # a resumed run folds new members into them
-            parse(e.digraph)
+        # a resumed run folds new members into the exception classes
+        orders = {parse(e.digraph).n for e in result.exceptions}
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: bad entry ({exc!r})") from exc
     cursor = payload["cursor"]
@@ -527,6 +541,16 @@ def checkpoint_load(path: str, spec: CampaignSpec) -> tuple[CampaignResult, int]
         raise CheckpointError(
             f"corrupt checkpoint {path}: detail must have exactly the keys of "
             f"{_CLAIMS[spec.claim].detail()}, with non-negative integer counts"
+        )
+    members = [e.count for e in result.exceptions]
+    if (
+        orders - {spec.n}
+        or min(members, default=1) < 1
+        or sum(members) != result.detail.get("exception_members", 0)
+    ):
+        raise CheckpointError(
+            f"corrupt checkpoint {path}: exception classes must be order-{spec.n} digraphs "
+            "with positive counts that sum to exception_members"
         )
     if cursor % spec.shards != spec.shard or cursor >= _space_size(spec) + spec.shards:
         raise CheckpointError(
@@ -758,7 +782,9 @@ def run_campaign(
     the cursor.  ``allow_long`` opts into space sizes that take minutes or
     more.  ``progress`` receives (items done in shard, shard total) after
     every block.  With a checkpoint path, the partial result is saved after
-    every block and the returned one at the end.
+    a block once ``_SAVE_EVERY_S`` has passed since the last save ended, and
+    the returned one at the end (also on ``stop_after``) unless that block's
+    save already holds it.
     """
     row = _CLAIMS[spec.claim]
     if spec.mode == "exhaustive" and not allow_long and spec.n > row.free_n:
@@ -766,18 +792,23 @@ def run_campaign(
             f"exhaustive scan of order-{spec.n} {row.space} is a long run; "
             "pass allow_long to opt in"
         )
-    started = time.monotonic()
+    started = last_save = time.monotonic()
     saved = None
     if spec.checkpoint_path and os.path.exists(spec.checkpoint_path):
         saved = checkpoint_load(spec.checkpoint_path, spec)
+    if spec.checkpoint_path:  # refuse an unwritable path before the first save is due
+        _write_checkpoint(spec.checkpoint_path, None)
     tally = _Tally(spec, saved)
+    saved_cursor = None
 
     def elapsed_ms() -> int:
         return tally.base_elapsed + int((time.monotonic() - started) * 1000)
 
     def tick() -> None:
-        if spec.checkpoint_path:
+        nonlocal last_save, saved_cursor
+        if spec.checkpoint_path and time.monotonic() - last_save >= _SAVE_EVERY_S:
             checkpoint_save(spec.checkpoint_path, tally.result(elapsed_ms()), tally.cursor)
+            last_save, saved_cursor = time.monotonic(), tally.cursor
         if progress is not None:
             progress(tally.scanned, _shard_total(spec))
 
@@ -785,7 +816,7 @@ def run_campaign(
     result = tally.result(elapsed_ms())
     if result.complete and result.verified + len(result.counterexamples) != result.hypothesis_hits:
         raise RuntimeError("campaign bookkeeping broke: verified + failures != hits")
-    if spec.checkpoint_path:
+    if spec.checkpoint_path and saved_cursor != tally.cursor:
         checkpoint_save(spec.checkpoint_path, result, tally.cursor)
     return result
 
@@ -822,7 +853,7 @@ def _run_space(
     the lemma suite, its lemma setups found and their hits run
     (``_lemma_block``).  Tournament and lemma blocks are ``_SMALL_BLOCK``
     wide, the others ``_BLOCK``.  The cursor moves past a block before the
-    block runs, so the checkpoint ``tick`` writes after it records the next
+    block runs, so a checkpoint ``tick`` writes after it records the next
     unprocessed position (an abandoned block is never persisted: checkpoints
     are written only after the block's tallies are in).
     """
@@ -942,23 +973,6 @@ def _lemma_inputs(
     return orders, rows, strong, pairs
 
 
-def _lemma_gate(
-    rows: Sequence[int], base: Sequence[int], q: Sequence[int], on_cycle: bool
-) -> bool:
-    """The one degree hypothesis of the four lemma setups, for path Q off base B.
-
-    d-(head Q, B) + d+(tail Q, B) >= |B| + 1 when B is a cycle, and >= |B| +
-    [last B -> head Q] + [tail Q -> first B] when B is a path.  With Q = (x)
-    these are d(x, C) >= |C| + 1 and ``insert_vertex``'s three-case guarantee.
-    """
-    head, out = q[0], rows[q[-1]]
-    degree = 0
-    for b in base:
-        degree += (rows[b] >> head & 1) + (out >> b & 1)
-    ends = 1 if on_cycle else (rows[base[-1]] >> head & 1) + (out >> base[0] & 1)
-    return degree >= len(base) + ends
-
-
 def _lemma_setup(
     n: int, rows: list[int], kind: str, length: int, chooser: int
 ) -> tuple[Optional[tuple[int, ...]], Optional[tuple[int, ...]], bool]:
@@ -967,7 +981,7 @@ def _lemma_setup(
     B is the first cycle or path of ``length`` vertices, and Q off B is the
     chooser-th vertex outside B, or the first path of 1 + chooser vertices
     outside B; Q is None when B or the path is missing, and the gate is
-    ``_lemma_gate``, false without Q.
+    ``cycles.lemma_gate``, false without Q.
     """
     on_cycle = _LEMMA_PIECES[kind][0] == "cycle"
     base = (find_cycle_rows if on_cycle else find_path_rows)(n, rows, length)
@@ -980,7 +994,10 @@ def _lemma_setup(
         q: Optional[tuple[int, ...]] = ([v for v in range(n) if pool >> v & 1][chooser],)
     else:
         q = find_path_rows(n, rows, 1 + chooser, pool)
-    return base, q, q is not None and _lemma_gate(rows, base, q, on_cycle)
+    if q is None:
+        return base, None, False
+    degree, need = lemma_gate(rows, base, q, on_cycle)
+    return base, q, degree >= need
 
 
 def _lemma_witnesses(
@@ -1003,7 +1020,7 @@ def _lemma_setups(
     rows (``scan.first_paths``' layout), and the (4, B) hit flags.  Bases and
     paths Q come from ``scan.first_paths``, each Q inside the pool off its
     B; an "x" piece is the chooser-th vertex of that pool.  The gate is
-    ``_lemma_gate`` on whole arrays.  Lemmas run one at a time: two at once
+    ``cycles.lemma_gate`` on whole arrays.  Lemmas run one at a time: two at once
     saved a few percent of the time and cost 0.6 MB more peak memory.
     """
     count = orders.size

@@ -204,6 +204,24 @@ def oracle_first_cover_path(
     )
 
 
+def oracle_shortest_interior(
+    rows: list[int], entry: int, exit_: int, pool: int
+) -> Optional[tuple[int, ...]]:
+    """Lexicographically least of the shortest vertex sequences of ``pool``
+    that lead from ``entry`` to ``exit_`` (at least one vertex between them)."""
+    for length in range(1, pool.bit_count() + 1):
+        found = _first_sequence(
+            pool,
+            length,
+            lambda order: rows[entry] >> order[0] & 1
+            and _is_path(rows, order)
+            and rows[order[-1]] >> exit_ & 1,
+        )
+        if found is not None:
+            return found
+    return None
+
+
 def _splitmix64(state: int) -> tuple[int, int]:
     """One splitmix64 step: (new state, output)."""
     state = (state + 0x9E3779B97F4A7C15) & (1 << 64) - 1

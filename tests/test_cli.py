@@ -202,6 +202,20 @@ def test_verify_rejects_a_checkpoint_without_its_detail(capsys, tmp_path):
     assert err.startswith("error: corrupt checkpoint") and "detail" in err
 
 
+def test_verify_rejects_a_checkpoint_with_a_negative_exception_class(capsys, tmp_path):
+    cp = str(tmp_path / "cp.json")
+    run_campaign(CampaignSpec(claim="bypass_claim", n=5, checkpoint_path=cp), stop_after=300)
+    with open(cp, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["exceptions"][0]["count"] = -7
+    payload["detail"]["exception_members"] = 0
+    with open(cp, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    code, out, err = run_cli(capsys, "verify", "bypass_claim", "--n", "5", "--checkpoint", cp)
+    assert code == 2 and out == ""
+    assert err.startswith("error: corrupt checkpoint") and "exception" in err
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_reports_an_unwritable_checkpoint(capsys, tmp_path, jobs):
     cp = str(tmp_path / "missing" / "cp.json")

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_digraphs, digraphs
 from hamlab.cycles import (
     Bypass,
     _cover_path_rows,
+    _shortest_interior,
     absorb_path_into_cycle,
     cycle_spectrum,
     cycles_from_external_vertex,
@@ -32,6 +35,7 @@ from hamlab.digraph import (
     PathWitness,
     build,
     degree_toward,
+    from_rows,
 )
 from hamlab.generators import (
     gen_directed_cycle,
@@ -47,6 +51,7 @@ from oracles import (
     oracle_first_cycle,
     oracle_first_path,
     oracle_hamiltonian_bypass,
+    oracle_shortest_interior,
     oracle_spectrum,
 )
 
@@ -209,6 +214,20 @@ def test_find_c_bypass_prefers_smallest_gap():
     assert (got.entry, got.exit) == (1, 2)
 
 
+def test_find_c_bypass_takes_the_lex_first_shortest_interior():
+    # 0->1->4->5 and 0->2->3->5 are both shortest; breadth-first discovery
+    # order would meet 3 before 4 and return (2, 3)
+    arcs = [(0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)]
+    assert _shortest_interior(build(6, arcs), 0, 5, 0b011110) == (1, 4)
+    d = build(6, arcs + [(0, 5), (5, 0)])
+    assert find_c_bypass(d, CycleWitness((0, 5))) == Bypass(0, PathWitness((1, 4)), 5, 1)
+    for perm in itertools.permutations(range(6)):  # every order of the tied chains
+        d = build(6, [(perm[u], perm[v]) for u, v in arcs])
+        pool = sum(1 << perm[v] for v in range(1, 5))
+        want = oracle_shortest_interior(list(d.out), perm[0], perm[5], pool)
+        assert _shortest_interior(d, perm[0], perm[5], pool) == want
+
+
 def test_find_c_bypass_none_and_spanning_guard():
     d = build(4, [(0, 1), (1, 2), (2, 0), (3, 0)])
     assert find_c_bypass(d, CycleWitness((0, 1, 2))) is None
@@ -321,6 +340,20 @@ def test_extend_maximally_leftovers_truly_stuck(d: Digraph):
     assert len(got.path) == 2 + len(got.absorbed)
     for x in got.leftover:
         assert insert_vertex(d, got.path, x) is None
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_shortest_interior_matches_lex_first_oracle(data):
+    n = data.draw(st.integers(3, 7))
+    # arcs at density 0.4 and mostly whole pools, where equal-length chains meet
+    arcs = data.draw(st.lists(st.integers(0, 4), min_size=n * (n - 1), max_size=n * (n - 1)))
+    d = from_rows(n, rows_from_index(n, sum(1 << i for i, a in enumerate(arcs) if a < 2)))
+    entry, exit_ = data.draw(st.permutations(range(n)))[:2]
+    pool = data.draw(st.sampled_from([d.full_mask, data.draw(st.integers(0, d.full_mask))]))
+    pool &= ~(1 << entry | 1 << exit_)
+    want = oracle_shortest_interior(list(d.out), entry, exit_, pool)
+    assert _shortest_interior(d, entry, exit_, pool) == want
 
 
 @given(dense_digraphs(min_n=4))

@@ -6,6 +6,7 @@ import os
 import tempfile
 from dataclasses import replace
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -521,7 +522,8 @@ def test_lemma_gate_equals_every_operation_hypothesis_over_strong_order4_space()
                     continue
                 pool = d.full_mask & ~PathWitness(base).mask()
                 for q in _walks(d, pool, False):
-                    gate = harness._lemma_gate(rows, base, q, on_cycle)
+                    degree, need = cycles.lemma_gate(rows, base, q, on_cycle)
+                    gate = degree >= need
                     if not on_cycle and len(q) == 1:
                         # insert_vertex's single-vertex insertion guarantee
                         x = q[0]
@@ -765,11 +767,11 @@ def test_checkpoint_rejects_missing_keys(tmp_path):
         checkpoint_load(cp, spec)
 
 
-def _tampered_checkpoint(tmp_path, claim="thm110", **changes):
-    """A real mid-run checkpoint of ``claim`` at n=4, shard 0 of 3, with fields overwritten."""
+def _tampered_checkpoint(tmp_path, claim="thm110", n=4, **changes):
+    """A real mid-run checkpoint of ``claim`` at order n, shard 0 of 3, with fields overwritten."""
     cp = str(tmp_path / "tampered.json")
     sampled = dict(mode="sample", samples=900) if claim == "lemma_suite" else {}
-    spec = CampaignSpec(claim=claim, n=4, shards=3, checkpoint_path=cp, **sampled)
+    spec = CampaignSpec(claim=claim, n=n, shards=3, checkpoint_path=cp, **sampled)
     run_campaign(spec, stop_after=300)
     with open(cp, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -798,12 +800,14 @@ def _tampered_checkpoint(tmp_path, claim="thm110", **changes):
         ("detail", lambda d: {**d, "kstar": -1}),
         ("detail", lambda d: {**d, "pre_hamiltonian": True}),
         ("detail", lambda d: [0, 0]),
+        ("exceptions", lambda e: [{"index": 0, "digraph": "4\n0 1\n1 0\n", "count": 1}]),
     ],
     ids=[
         "cursor-misaligned", "cursor-negative", "cursor-past-end", "cursor-not-int",
         "scanned-negative", "strong-negative", "hits-negative", "verified-negative",
         "verified-above-hits", "counterexamples-not-list", "detail-keys-dropped",
         "detail-stray-key", "detail-negative", "detail-bool", "detail-not-dict",
+        "exceptions-on-thm110",
     ],
 )
 def test_checkpoint_rejects_inconsistent_state(tmp_path, field, change):
@@ -828,6 +832,48 @@ def test_checkpoint_rejects_a_bad_lemma_detail(tmp_path, change):
     cp, spec = _tampered_checkpoint(tmp_path, "lemma_suite", detail=change)
     with pytest.raises(CheckpointError, match="detail"):
         run_campaign(spec)
+
+
+_CYCLE5 = {"index": 1, "digraph": "5\n0 1\n1 2\n2 3\n3 4\n4 0\n"}
+
+
+@pytest.mark.parametrize(
+    "exceptions, members",
+    [
+        (lambda e: e + [{**_CYCLE5, "count": -7}], lambda m: m - 7),
+        (lambda e: e + [{**_CYCLE5, "count": 0}], lambda m: m),
+        (lambda e: [{**e[0], "count": e[0]["count"] + 1}], lambda m: m),
+        (lambda e: [{**e[0], "digraph": "4\n0 1\n1 2\n2 3\n3 0\n"}], lambda m: m),
+        (lambda e: [], lambda m: m),
+    ],
+    ids=["count-negative", "count-zero", "sum-mismatch", "wrong-order", "classes-dropped"],
+)
+def test_checkpoint_rejects_inconsistent_exception_classes(tmp_path, exceptions, members):
+    def detail(d):
+        return {"exception_members": members(d["exception_members"])}
+
+    cp, spec = _tampered_checkpoint(
+        tmp_path, "bypass_claim", 5, exceptions=exceptions, detail=detail
+    )
+    with pytest.raises(CheckpointError, match="exception"):
+        checkpoint_load(cp, spec)
+    with pytest.raises(CheckpointError, match="exception"):
+        run_campaign(spec)
+
+
+def test_checkpoint_keeps_consistent_exception_classes(tmp_path):
+    def exceptions(e):
+        return e + [{**_CYCLE5, "count": 2}]
+
+    def detail(d):
+        return {"exception_members": d["exception_members"] + 2}
+
+    cp, spec = _tampered_checkpoint(
+        tmp_path, "bypass_claim", 5, exceptions=exceptions, detail=detail
+    )
+    result, _ = checkpoint_load(cp, spec)
+    assert result.exceptions[-1] == ExceptionClass(1, _CYCLE5["digraph"], 2)
+    assert result.detail["exception_members"] == sum(e.count for e in result.exceptions)
 
 
 def test_checkpoint_rejects_malformed_counterexample(tmp_path):
@@ -877,6 +923,36 @@ def test_checkpoint_save_reports_an_unwritable_path(tmp_path):
     result = run_campaign(CampaignSpec(claim="thm15", n=4), stop_after=10)
     with pytest.raises(CheckpointError, match="cannot write checkpoint"):
         checkpoint_save(str(tmp_path / "missing" / "cp.json"), result, 10)
+
+
+@pytest.mark.parametrize("stop_after", [None, 10_000], ids=["whole", "stopped"])
+@pytest.mark.parametrize("step", [0.0, 2.0], ids=["frozen-clock", "clock-2s-per-read"])
+def test_checkpoint_cadence(tmp_path, monkeypatch, step, stop_after):
+    now = [0.0]
+
+    def monotonic():
+        now[0] += step
+        return now[0]
+
+    saved = []
+
+    def save(path, result, cursor):
+        saved.append(cursor)
+        checkpoint_save(path, result, cursor)
+
+    monkeypatch.setattr(harness, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(harness, "checkpoint_save", save)
+    cp = str(tmp_path / "cp.json")
+    spec = CampaignSpec(claim="bypass_claim", n=6, checkpoint_path=cp)  # 4096-wide blocks
+    cursors = []
+    result = run_campaign(
+        spec, stop_after=stop_after, progress=lambda done, total: cursors.append(done)
+    )
+    end = 1 << 15 if stop_after is None else stop_after
+    assert cursors[-1] == end and len(cursors) == -(-end // 4096)
+    assert saved == (cursors if step else [end])  # one save per block, or one at the end
+    saved_result = replace(result, spec=replace(spec, checkpoint_path=None))
+    assert checkpoint_load(cp, spec) == (saved_result, end)
 
 
 def test_run_sharded_checkpoints_every_shard_and_resumes(tmp_path):
