@@ -15,16 +15,17 @@ saved state does not reach the same result.  Neither hash reads the
 checkpoint's bytes, so two trees whose checkpoint formats differ can still
 be compared: they hold the same results when the outputs of this script on
 both, each run with its own ``src`` on ``PYTHONPATH``, are equal under
-``diff``.  The set takes about 4 minutes on one core and peaks near
+``diff``.  The set takes 1-4 minutes on one core and peaks near
 400 MB, most of it the lowered-slack counterexamples.
 
-The set has 60 campaigns:
+The set has 64 campaigns:
 - lemma_suite at order 8, seeds 0-2, 75,000 samples each;
 - lemma_suite at orders 4-8 over 20,000 samples, once stopped after 9,000
   and once as shard 1 of 3;
 - thm15, thm110, lemma35 and conj19 exhaustive at orders 4 and 5, on shard
   17 of 1021 of order 6, and sampled at order 7;
-- bypass_claim at orders 5 and 6, exhaustive and sampled;
+- bypass_claim at orders 5-8, sampled and exhaustive (order 8 on shard 3
+  of 1024 only);
 - thm15, thm110 and conj19 with the triple-condition slack lowered to -2,
   -4 and -8, exhaustive at orders 4 and 5 and sampled at order 6.  These
   negative slacks make many hits fail, so the counterexample path is
@@ -72,8 +73,9 @@ def campaigns() -> list[Entry]:
         out.append((CampaignSpec(claim=claim, n=6, shard=17, shards=1021), None, None))
         sampled = CampaignSpec(claim=claim, n=7, mode="sample", samples=20_000, seed=1)
         out.append((sampled, None, None))
-    for n in (5, 6):
-        out.append((CampaignSpec(claim="bypass_claim", n=n), None, None))
+    for n in (5, 6, 7, 8):
+        shards = dict(shard=3, shards=1024) if n == 8 else {}
+        out.append((CampaignSpec(claim="bypass_claim", n=n, **shards), None, None))
         sampled = CampaignSpec(claim="bypass_claim", n=n, mode="sample", samples=20_000, seed=2)
         out.append((sampled, None, None))
     for claim in ("thm15", "thm110", "conj19"):

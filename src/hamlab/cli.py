@@ -186,7 +186,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             result = run_campaign(
                 spec, allow_long=args.allow_long, progress=heartbeat
             )
-    except (CampaignError, CheckpointError) as exc:
+    except (CampaignError, CheckpointError, GiveUpError) as exc:
         return _fail(str(exc))
     if args.json:
         print(json.dumps(result.to_json(), indent=2))

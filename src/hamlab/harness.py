@@ -81,6 +81,7 @@ from .generators import (
     gen_kstar_minus_arc,
     gen_two_cliques,
     EnumerationCursor,
+    threshold_for,
     tournament_rows_from_index,
 )
 
@@ -133,9 +134,10 @@ class _Claim:
     """One claim's row: all the engine knows of it but its conclusion code.
 
     ``space`` is the exhaustive space, "digraphs" (labeled) or "tournaments";
-    None for the lemma suite, which only samples.  ``max_n`` caps the order
-    in every mode: bypass exception classes need the isomorphism test, capped
-    at ``ISO_MAX``, and one 64-bit draw holds a lemma sample's arcs.
+    None for the lemma suite, which only samples, each arc with probability
+    1/2.  ``max_n`` caps the order in every mode: bypass exception classes
+    need the isomorphism test, capped at ``ISO_MAX``, and one 64-bit draw
+    holds a lemma sample's arcs.
     ``free_n`` is the highest exhaustive order run without ``allow_long``.
     ``wanted(n)`` gives the conclusion bits ``_judge`` and ``_vector_gaps``
     test: the cycle lengths a hit needs, or bit 0 for the lemma35 property
@@ -210,6 +212,8 @@ class CampaignSpec:
             raise CampaignError(f"mode must be 'exhaustive' or 'sample', got {self.mode!r}")
         if row.space is None and self.mode != "sample":
             raise CampaignError(f"{self.claim} only runs in sample mode")
+        if row.space is None and self.arc_prob != 0.5:
+            raise CampaignError(f"{self.claim} draws every arc with probability 0.5")
         if self.shards < 1 or not 0 <= self.shard < self.shards:
             raise CampaignError(f"shard {self.shard} outside 0..{self.shards - 1}")
         if not 0 <= self.seed < 1 << 64:
@@ -219,6 +223,10 @@ class CampaignSpec:
                 raise CampaignError("sample mode needs samples >= 1")
             if not 0.0 < self.arc_prob <= 1.0:
                 raise CampaignError(f"arc_prob {self.arc_prob} outside (0, 1]")
+            if row.space is not None and threshold_for(self.arc_prob) == 0:
+                raise CampaignError(
+                    f"arc_prob {self.arc_prob} draws no arcs, so no strong digraph"
+                )
         else:
             if self.samples != 0:
                 raise CampaignError("samples only applies to sample mode")

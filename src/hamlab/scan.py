@@ -32,9 +32,11 @@ The hit-block kernels cover orders up to ``HIT_MAX_N``:
   connectivity, and the literal clause form of the triple condition), so a
   defect in a screen has to be made twice to slip through;
 - ``cycle_lengths`` gives every cycle length of each row from one Held–Karp
-  pass over (subset, endpoint);
+  pass over (subset, endpoint), the loop ``_held_karp``;
 - ``bypass_flags`` finds a Hamiltonian bypass (a spanning path whose first
-  vertex beats its last) by the same pass rooted at each start vertex;
+  vertex s beats its last) through the same loop: such a path is a
+  Hamiltonian cycle of the digraph rewired so that s's in-mask is its
+  out-row, so each start s swaps that one in-mask and reads bit n;
 - ``lemma35_flags`` is the paired low-degree property;
 - ``first_paths`` runs the lex-first path and cycle searches of
   ``cycles._first_path`` for a block of setups in lockstep (the lemma
@@ -48,6 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cycles import find_cycle_rows, find_path_rows
+from .digraph import GraphError
 from .generators import GAMMA, GIVE_UP_AFTER, GiveUpError, threshold_for
 
 U = np.uint64
@@ -381,18 +384,19 @@ def _held_karp_layers(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _rooted_layers(n: int) -> tuple:
-    """The layers of ``_held_karp_layers`` restricted to subsets holding vertex 0.
+    """The layers of ``_held_karp_layers`` cut to the subsets holding vertex 0.
 
-    Vertex 0 is the minimum, so the root, of each of them.  Subsets and their
-    predecessors are indexed by ``subset >> 1`` (bit 0 is always set), so an
-    endpoint table over them has 2^(n-1) entries.  Each layer is (subsets,
-    steps), with steps as in ``_held_karp_layers``.
+    Vertex 0 is the root of each of them, so a pass over these layers finds
+    the paths from 0.  Only the full layer keeps its roots, so the pass
+    closes Hamiltonian cycles alone: closing every layer made
+    ``bypass_flags`` about a third slower on random order-6 to 8 blocks,
+    whose rows try several starts.
     """
     layers = []
-    for _, subsets, roots, steps in _held_karp_layers(n):
+    for size, subsets, roots, steps in _held_karp_layers(n):
         keep = roots == 0
-        kept = [(w[keep], prev[keep] >> 1, bit[keep]) for w, prev, bit in steps]
-        layers.append((subsets[keep] >> 1, kept))
+        kept = [(w[keep], prev[keep], bit[keep]) for w, prev, bit in steps]
+        layers.append((size, subsets[keep], roots[keep] if size == n else roots[:0], kept))
     return tuple(layers)
 
 
@@ -403,78 +407,71 @@ def _in_masks(n: int, small: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(in_rows(padded)[:, :n].T)
 
 
-def _extend(ends: np.ndarray, into: np.ndarray, steps: list, width: int) -> np.ndarray:
-    """Endpoint sets of one Held–Karp layer of ``width`` subsets.
+def _held_karp(n: int, into: np.ndarray, layers: tuple) -> np.ndarray:
+    """Per column of the (n, B) in-masks ``into``, the bitmask of the cycle
+    lengths closed over ``layers`` (bit k: a k-cycle).
 
-    w joins the set of subset S when some endpoint of S minus w has an arc
-    into w; ``steps`` pair each S with its predecessors (see
-    ``_held_karp_layers``), and ``ends`` holds the layers below.
+    Held–Karp over (subset, endpoint), rooted at each subset's minimum
+    vertex: ``ends[S]`` is the uint8 set of vertices v such that a path from
+    min(S) to v visits exactly S.  v joins ``ends[S]`` when some endpoint of
+    S minus v has an arc into v (``steps`` pair each S with its
+    predecessors, see ``_held_karp_layers``), and S closes a cycle of length
+    |S| when an endpoint has an arc back into min(S).  A layer given no
+    roots closes no cycle.
     """
-    layer = np.zeros((width, ends.shape[1]), dtype=np.uint8)
-    for w, prev, bit in steps:
-        step = ends[prev]
-        step &= into[w]
-        np.minimum(step, 1, out=step)
-        step *= bit
-        layer |= step
-    return layer
+    count = into.shape[1]
+    ends = np.zeros((1 << n, count), dtype=np.uint8)
+    for r in range(n):
+        ends[1 << r] = 1 << r
+    lengths = np.zeros(count, dtype=np.uint16)
+    for size, subsets, roots, steps in layers:
+        layer = np.zeros((subsets.size, count), dtype=np.uint8)
+        for w, prev, bit in steps:
+            step = ends[prev]
+            step &= into[w]
+            np.minimum(step, 1, out=step)
+            step *= bit
+            layer |= step
+        ends[subsets] = layer
+        if roots.size:
+            layer &= into[roots]
+            lengths[layer.any(axis=0)] |= np.uint16(1 << size)
+    return lengths
 
 
 def cycle_lengths(n: int, rows: np.ndarray) -> np.ndarray:
     """Per row, the bitmask of the cycle lengths present (bit k: a k-cycle).
 
-    Held–Karp over (subset, endpoint), rooted at each subset's minimum
-    vertex: ``ends[S]`` is the uint8 set of vertices v such that a path from
-    min(S) to v visits exactly S.  v joins ``ends[S]`` when some endpoint of
-    S minus v has an arc into v, and S closes a cycle of length |S| when an
-    endpoint has an arc back into min(S).  Every cycle is found once, from
-    its minimum vertex.  In-neighbour masks are built once per block.
+    One Held–Karp pass (``_held_karp``) over every subset, which finds each
+    cycle once, from its minimum vertex.
     """
-    count = rows.shape[0]
-    into = _in_masks(n, _row_bytes(n, rows))
-    ends = np.zeros((1 << n, count), dtype=np.uint8)
-    for r in range(n):
-        ends[1 << r] = 1 << r
-    lengths = np.zeros(count, dtype=np.uint16)
-    for size, subsets, roots, steps in _held_karp_layers(n):
-        layer = _extend(ends, into, steps, subsets.size)
-        ends[subsets] = layer
-        layer &= into[roots]
-        lengths[layer.any(axis=0)] |= np.uint16(1 << size)
-    return lengths
+    return _held_karp(n, _in_masks(n, _row_bytes(n, rows)), _held_karp_layers(n))
 
 
 def bypass_flags(n: int, rows: np.ndarray) -> np.ndarray:
     """Boolean mask of rows with a Hamiltonian bypass: a spanning path whose
     first vertex s also has an arc to its last vertex v.
 
-    Held–Karp over (start, subset, endpoint).  For start s the labels 0 and s
-    are swapped, so the paths from s are the ones rooted at vertex 0 over the
-    subsets holding it (``_rooted_layers``); the row has a bypass from s when
-    some endpoint over the full vertex set is an out-neighbour of s.  A row
-    leaves the block at the first start that gives it a bypass.
+    Such a path is a Hamiltonian cycle of D_s, the digraph with the arcs into
+    s replaced by v→s for every out-neighbour v of s, so only the in-mask of
+    s changes: it becomes s's out-row.  The in-masks are built once; for
+    each start s the Held–Karp pass runs on them with row s swapped, over
+    the subsets holding vertex 0 (``_rooted_layers``), and bit n of its
+    result tells.  A row leaves the block at the first start that gives it a
+    bypass.
     """
-    count = rows.shape[0]
     small = _row_bytes(n, rows)
-    found = np.zeros(count, dtype=bool)
-    live = np.arange(count)
+    into = _in_masks(n, small)
+    found = np.zeros(rows.shape[0], dtype=bool)
+    live = np.arange(rows.shape[0])
     for s in range(n):
         if not live.size:
             break
-        order = np.arange(n)
-        order[[0, s]] = s, 0
-        swapped = small[:, order]
-        flip = (swapped ^ (swapped >> s)) & 1  # bit 0 differs from bit s
-        swapped ^= flip | (flip << s)
-        into = _in_masks(n, swapped)
-        ends = np.zeros((1 << (n - 1), live.size), dtype=np.uint8)
-        ends[0] = 1
-        for subsets, steps in _rooted_layers(n):
-            ends[subsets] = _extend(ends, into, steps, subsets.size)
-        has = (ends[-1] & swapped[:, 0]) != 0
+        rewired = into.copy()
+        rewired[s] = small[:, s]
+        has = _held_karp(n, rewired, _rooted_layers(n)) >> n & 1 != 0
         found[live[has]] = True
-        live = live[~has]
-        small = small[~has]
+        live, small, into = live[~has], small[~has], into[:, ~has]
     return found
 
 
@@ -679,8 +676,14 @@ def sample_strong_rows(n: int, arc_prob: float, seeds: np.ndarray) -> np.ndarray
     stream emits one draw per ordered pair, and a digraph that is not strong
     is redrawn from where its stream stopped.  The first attempt is drawn
     into the output block itself; retries draw only the rejected samples.
+    As in the scalar sampler, an arc probability too small to give any arc
+    (cutoff 0) raises at once from order 2 up.
     """
     cutoff = threshold_for(arc_prob)
+    if cutoff == 0 and n >= 2:
+        raise GraphError(
+            f"arc probability {arc_prob} draws no arcs, so no strong digraph of order {n}"
+        )
     all_arcs = cutoff >= 1 << 64
     cut = U(min(cutoff, (1 << 64) - 1))
     rows = np.empty((seeds.shape[0], n), dtype=np.uint64)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hamlab import generators
+from hamlab import generators, scan
 from hamlab.cli import main
 from hamlab.harness import CampaignSpec, run_campaign
 from hamlab.digraph import parse, serialize
@@ -173,6 +173,24 @@ def test_verify_rejects_bad_spec(capsys):
     assert run_cli(capsys, "verify", "thm15", "--n", "3")[0] == 2
     assert run_cli(capsys, "verify", "nope", "--n", "4")[0] == 2
     assert run_cli(capsys, "verify", "thm15", "--n", "6")[0] == 2  # long-run gate
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_reports_a_sampler_give_up(capsys, monkeypatch, jobs):
+    monkeypatch.setattr(scan, "GIVE_UP_AFTER", 50)
+    argv = ("verify", "conj19", "--n", "5", "--mode", "sample", "--samples", "4",
+            "--arc-prob", "0.01", "--jobs", jobs)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: no strong digraph") and "Traceback" not in err
+
+
+def test_verify_refuses_an_arc_probability_that_draws_no_arc(capsys, monkeypatch):
+    monkeypatch.setattr(scan, "GIVE_UP_AFTER", 50)  # a run let through gives up soon
+    argv = ("verify", "conj19", "--n", "5", "--mode", "sample", "--samples", "1",
+            "--arc-prob", "1e-30")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:") and "progress" not in err
 
 
 def test_verify_rejects_misaligned_checkpoint(capsys, tmp_path):

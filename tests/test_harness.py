@@ -68,6 +68,8 @@ def test_spec_rejects_bad_inputs():
         dict(claim="thm15", n=4, shard=2, shards=2),
         dict(claim="thm15", n=4, mode="sample"),
         dict(claim="thm15", n=4, mode="sample", samples=10, arc_prob=0.0),
+        dict(claim="conj19", n=5, mode="sample", samples=1, arc_prob=1e-30),  # draws no arc
+        dict(claim="lemma_suite", n=6, mode="sample", samples=10, arc_prob=0.3),
         dict(claim="thm15", n=4, samples=5),
         dict(claim="thm15", n=7),  # 42 bits > enumeration cap
         dict(claim="bypass_claim", n=9),

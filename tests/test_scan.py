@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hamlab import harness, scan
 from hamlab.conditions import holds_a_k_rows, lemma35_rows
 from hamlab.cycles import find_cycle_rows, find_path_rows, hamiltonian_bypass_rows
-from hamlab.digraph import strong_rows
+from hamlab.digraph import GraphError, strong_rows
 from hamlab.generators import (
     GiveUpError,
     derived_seed,
@@ -215,6 +215,16 @@ def test_hit_judges_match_scalar_over_full_order4_space(order4_rows):
     rows = order4_rows.tolist()
     assert scan.cycle_lengths(4, order4_rows).tolist() == [_scalar_lengths(4, r) for r in rows]
     assert scan.lemma35_flags(4, order4_rows).tolist() == [lemma35_rows(4, r) for r in rows]
+    assert scan.bypass_flags(4, order4_rows).tolist() == [
+        hamiltonian_bypass_rows(4, r) is not None for r in rows
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bypass_flags_match_scalar_over_full_small_spaces(n: int):
+    rows = scan.decode_rows(n, np.arange(1 << n * (n - 1), dtype=np.uint64))
+    expected = [hamiltonian_bypass_rows(n, r) is not None for r in rows.tolist()]
+    assert scan.bypass_flags(n, rows).tolist() == expected
 
 
 def test_hit_judges_match_scalar_over_order5_hits(order5_rows, order5_confirmed):
@@ -385,3 +395,11 @@ def test_vector_sampler_gives_up(monkeypatch):
     monkeypatch.setattr(scan_mod, "GIVE_UP_AFTER", 50)
     with pytest.raises(GiveUpError):
         scan.sample_strong_rows(6, 0.01, scan.seeds_for(1, np.arange(4, dtype=np.uint64)))
+
+
+def test_vector_sampler_without_arcs_fails_at_once():
+    seeds = scan.seeds_for(1, np.arange(4, dtype=np.uint64))
+    for n in (2, 5):
+        with pytest.raises(GraphError):
+            scan.sample_strong_rows(n, 1e-30, seeds)
+    assert scan.sample_strong_rows(1, 1e-30, seeds).tolist() == [[0]] * 4
