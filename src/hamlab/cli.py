@@ -162,7 +162,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             mode=args.mode,
             shard=args.shard,
             shards=shards,
-            samples=args.samples if args.mode == "sample" else 0,
+            samples=args.samples,
             arc_prob=args.arc_prob,
             seed=args.seed,
             checkpoint_path=args.checkpoint,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_VERTICES = 64
@@ -61,13 +62,24 @@ def mask_of(members: Iterable[int], n: int) -> int:
 class Digraph:
     """Simple loop-free digraph on vertices 0..n-1 (n <= 64).
 
-    ``out[v]`` / ``inn[v]`` are bitmasks of out- and in-neighbours.  The two
-    views are mirror images of each other; ``from_rows`` derives the second.
+    ``out[v]`` is the bitmask of v's out-neighbours, the one stored view.
+    ``inn[v]``, the bitmask of its in-neighbours, is derived from ``out`` the
+    first time it is read.
     """
 
     n: int
     out: tuple[int, ...]
-    inn: tuple[int, ...]
+
+    @cached_property
+    def inn(self) -> tuple[int, ...]:
+        inn = [0] * self.n
+        for u in range(self.n):
+            bit, row = 1 << u, self.out[u]
+            while row:
+                low = row & -row
+                inn[low.bit_length() - 1] |= bit
+                row ^= low
+        return tuple(inn)
 
     @property
     def full_mask(self) -> int:
@@ -96,15 +108,8 @@ class Digraph:
 
 
 def from_rows(n: int, rows: Sequence[int]) -> Digraph:
-    """Assemble a Digraph from out-adjacency rows, deriving the in rows."""
-    inn = [0] * n
-    for u in range(n):
-        bit, row = 1 << u, rows[u]
-        while row:
-            low = row & -row
-            inn[low.bit_length() - 1] |= bit
-            row ^= low
-    return Digraph(n, tuple(rows), tuple(inn))
+    """Assemble a Digraph from out-adjacency rows."""
+    return Digraph(n, tuple(rows))
 
 
 def _add_arc(n: int, out: list[int], u: int, v: int) -> None:
@@ -159,8 +164,8 @@ def adjacent(d: Digraph, x: int, y: int) -> bool:
 
 
 def converse(d: Digraph) -> Digraph:
-    """Reverse every arc (swap the out/in views)."""
-    return Digraph(d.n, d.inn, d.out)
+    """Reverse every arc: the in-rows become the out-rows."""
+    return from_rows(d.n, d.inn)
 
 
 def induced(d: Digraph, members: Iterable[int]) -> tuple[Digraph, tuple[int, ...]]:
@@ -308,13 +313,50 @@ def serialize(d: Digraph) -> str:
 
 
 @dataclass(frozen=True)
-class PathWitness:
-    """A directed path given by its vertex sequence (length >= 1)."""
+class _Witness:
+    """A vertex sequence that ``validate`` holds to a digraph.
+
+    A subclass gives the ``_kind`` its messages name, whether it is
+    ``_closed`` (a cycle) and its ``_least`` length, refused with ``_short``.
+    """
 
     vertices: tuple[int, ...]
+    _kind, _closed, _least, _short = "", False, 1, ""
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    def mask(self) -> int:
+        m = 0
+        for v in self.vertices:
+            m |= 1 << v
+        return m
+
+    def validate(self, d: Digraph) -> None:
+        vs, kind = self.vertices, self._kind
+        if len(vs) < self._least:
+            raise GraphError(self._short)
+        if len(set(vs)) != len(vs):
+            raise GraphError(f"{kind} witness repeats a vertex: {vs}")
+        if self._closed and vs[0] != min(vs):
+            raise GraphError(f"cycle witness not in canonical rotation: {vs}")
+        if min(vs) < 0 or max(vs) >= d.n:
+            for v in vs:
+                if not 0 <= v < d.n:
+                    raise GraphError(f"{kind} vertex {v} out of range for n={d.n}")
+        out = d.out
+        for a, b in zip(vs, vs[1:] + vs[:1] if self._closed else vs[1:]):
+            if not out[a] >> b & 1:
+                raise GraphError(f"{kind} witness uses missing arc ({a}, {b})")
+
+    def to_json(self) -> list[int]:
+        return list(self.vertices)
+
+
+class PathWitness(_Witness):
+    """A directed path given by its vertex sequence (length >= 1)."""
+
+    _kind, _short = "path", "path witness must contain at least one vertex"
 
     @property
     def first(self) -> int:
@@ -324,69 +366,15 @@ class PathWitness:
     def last(self) -> int:
         return self.vertices[-1]
 
-    def mask(self) -> int:
-        m = 0
-        for v in self.vertices:
-            m |= 1 << v
-        return m
 
-    def validate(self, d: Digraph) -> None:
-        vs = self.vertices
-        if len(vs) < 1:
-            raise GraphError("path witness must contain at least one vertex")
-        if len(set(vs)) != len(vs):
-            raise GraphError(f"path witness repeats a vertex: {vs}")
-        if min(vs) < 0 or max(vs) >= d.n:
-            for v in vs:
-                if not 0 <= v < d.n:
-                    raise GraphError(f"path vertex {v} out of range for n={d.n}")
-        out = d.out
-        for a, b in zip(vs, vs[1:]):
-            if not out[a] >> b & 1:
-                raise GraphError(f"path witness uses missing arc ({a}, {b})")
-
-    def to_json(self) -> list[int]:
-        return list(self.vertices)
-
-
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(_Witness):
     """A directed cycle in canonical rotation: the minimum vertex id comes first."""
 
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def mask(self) -> int:
-        m = 0
-        for v in self.vertices:
-            m |= 1 << v
-        return m
+    _kind, _closed = "cycle", True
+    _least, _short = 2, "cycle witness needs at least two vertices"
 
     def gap(self, entry: int, exit_: int) -> int:
         """Cyclic distance from entry to exit walking along the cycle."""
         i = self.vertices.index(entry)
         j = self.vertices.index(exit_)
         return (j - i) % len(self.vertices)
-
-    def validate(self, d: Digraph) -> None:
-        vs = self.vertices
-        if len(vs) < 2:
-            raise GraphError("cycle witness needs at least two vertices")
-        if len(set(vs)) != len(vs):
-            raise GraphError(f"cycle witness repeats a vertex: {vs}")
-        least = min(vs)
-        if vs[0] != least:
-            raise GraphError(f"cycle witness not in canonical rotation: {vs}")
-        if least < 0 or max(vs) >= d.n:
-            for v in vs:
-                if not 0 <= v < d.n:
-                    raise GraphError(f"cycle vertex {v} out of range for n={d.n}")
-        out = d.out
-        for v, w in zip(vs, vs[1:] + vs[:1]):
-            if not out[v] >> w & 1:
-                raise GraphError(f"cycle witness uses missing arc ({v}, {w})")
-
-    def to_json(self) -> list[int]:
-        return list(self.vertices)

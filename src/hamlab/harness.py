@@ -116,6 +116,9 @@ _NTH_BIT = np.array(
     dtype=np.uint8,
 )
 
+#: ``scan.NO_VERTEX`` as a Python int, the pad a witness row ends in
+_PAD = int(scan.NO_VERTEX)
+
 #: lemma samples turned into Python lists at a time; converting a whole block
 #: at once raised peak memory by about 4 MB
 _LEMMA_CHUNK = 256
@@ -228,8 +231,9 @@ class CampaignSpec:
                     f"arc_prob {self.arc_prob} draws no arcs, so no strong digraph"
                 )
         else:
-            if self.samples != 0:
-                raise CampaignError("samples only applies to sample mode")
+            for key, default in (("samples", 0), ("arc_prob", 0.5), ("seed", 0)):
+                if getattr(self, key) != default:
+                    raise CampaignError(f"{key} only applies to sample mode")
             if _SPACE_BITS[row.space](self.n) > ENUM_MAX_BITS:
                 raise CampaignError(
                     f"space of order-{self.n} {row.space} exceeds the enumeration cap"
@@ -493,15 +497,18 @@ def checkpoint_save(path: str, result: CampaignResult, cursor: int) -> None:
 
 def _write_checkpoint(path: str, payload: Optional[dict[str, Any]]) -> None:
     """Write ``payload`` to ``path`` through a temporary file and a rename;
-    with no payload, only check that the temporary file can be written."""
+    with no payload, only check that the temporary file can be written, and
+    remove it."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            if payload is None:
-                return
-            json.dump(payload, fh)
-            fh.write("\n")
-        os.replace(tmp, path)
+            if payload is not None:
+                json.dump(payload, fh)
+                fh.write("\n")
+        if payload is None:
+            os.remove(tmp)
+        else:
+            os.replace(tmp, path)
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
@@ -918,26 +925,23 @@ def _lemma_block(spec: CampaignSpec, tally: _Tally, ordinals: np.ndarray) -> Non
             raise RuntimeError("vector and scalar strong screens disagree on a lemma sample")
         draws = pairs[:, lo].tolist()
         for k, kind in enumerate(_LEMMA_KEYS):
-            length, chooser = draws[2 * k], draws[2 * k + 1]
-            got = _lemma_witnesses(base[k][lo].tolist(), q[k][lo].tolist(), kind, length, chooser)
-            if _lemma_setup(n, first, kind, length, chooser) != (*got, bool(hits[k, lo])):
+            got = _witness(base[k][lo].tolist()), _witness(q[k][lo].tolist()), bool(hits[k, lo])
+            if _lemma_setup(n, first, kind, *draws[2 * k : 2 * k + 2]) != got:
                 raise RuntimeError("vector and scalar lemma setups disagree")
         picked = lo + np.flatnonzero(hits[:, lo:hi].any(axis=0))
         chunk = zip(
             ordinals[picked].tolist(),
             orders[picked].tolist(),
             rows[picked].tolist(),
-            pairs[:, picked].T.tolist(),
             hits[:, picked].T.tolist(),
             zip(*(b[picked].tolist() for b in base)),
             zip(*(p[picked].tolist() for p in q)),
         )
-        for ordinal, n, row, draws, hit, bases, paths in chunk:
+        for ordinal, n, row, hit, bases, paths in chunk:
             d = from_rows(n, row[:n])
             for k, kind in enumerate(_LEMMA_KEYS):
                 if hit[k]:
-                    length, chooser = draws[2 * k], draws[2 * k + 1]
-                    b, p = _lemma_witnesses(bases[k], paths[k], kind, length, chooser)
+                    b, p = _witness(bases[k]), _witness(paths[k])
                     _lemma_hit(spec, tally, ordinal, d, kind, b, p)
 
 
@@ -952,10 +956,10 @@ def _lemma_inputs(
     chooser) pair for each lemma in ``_LEMMA_KEYS`` order.  The length is
     reduced to 2..order-1 and the chooser modulo order - length, the number
     of vertices off a cycle or path of that length, which is all a lemma
-    uses it for.  Returns orders (B,), rows (B, top) zero-padded past each
-    sample's order, strong flags (B,) and the pairs (8, B).  Everything but
-    the flags is uint8 (orders are at most 8), and no array holds more than
-    one uint64 per sample.
+    uses it for.  Returns orders (B,), rows (B, 8) zero past each sample's
+    order, strong flags (B,) and the pairs (8, B).  Everything but the flags
+    is uint8 (orders are at most 8), and no array holds more than one uint64
+    per sample.
     """
     state = scan.seeds_for(seed, ordinals)
     out = np.empty_like(state)
@@ -971,7 +975,7 @@ def _lemma_inputs(
     for k in range(0, 8, 2):
         pairs[k] = draw() % (orders - np.uint8(2)) + np.uint64(2)
         pairs[k + 1] = draw() % (orders - pairs[k])
-    rows = np.zeros((ordinals.size, top), dtype=np.uint8)
+    rows = np.zeros((ordinals.size, 8), dtype=np.uint8)
     strong = np.zeros(ordinals.size, dtype=bool)
     for n in range(3, top + 1):
         picked = np.flatnonzero(orders == n)
@@ -1008,14 +1012,11 @@ def _lemma_setup(
     return base, q, degree >= need
 
 
-def _lemma_witnesses(
-    base: list[int], q: list[int], kind: str, length: int, chooser: int
-) -> tuple[Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
-    """B and Q of one setup as tuples, from its ``_lemma_setups`` witness rows."""
-    if base[0] == scan.NO_VERTEX:
-        return None, None
-    size = 1 if _LEMMA_PIECES[kind][1] == "x" else 1 + chooser
-    return tuple(base[:length]), None if q[0] == scan.NO_VERTEX else tuple(q[:size])
+def _witness(row: list[int]) -> Optional[tuple[int, ...]]:
+    """The vertices of a ``scan.first_paths`` witness row, its entries before
+    the first pad; None for a row of pad alone."""
+    end = row.index(_PAD) if row[-1] == _PAD else len(row)
+    return tuple(row[:end]) or None
 
 
 def _lemma_setups(
@@ -1025,22 +1026,21 @@ def _lemma_setups(
 
     Takes ``_lemma_inputs``' orders, rows and pairs.  Returns per lemma, in
     ``_LEMMA_KEYS`` order, B and Q of each sample as (B, 8) uint8 witness
-    rows (``scan.first_paths``' layout), and the (4, B) hit flags.  Bases and
-    paths Q come from ``scan.first_paths``, each Q inside the pool off its
-    B; an "x" piece is the chooser-th vertex of that pool.  The gate is
-    ``cycles.lemma_gate`` on whole arrays.  Lemmas run one at a time: two at once
-    saved a few percent of the time and cost 0.6 MB more peak memory.
+    rows (``scan.first_paths``' layout, read by ``_witness``), and the (4, B)
+    hit flags.  Bases and paths Q come from ``scan.first_paths``, each Q
+    inside the pool off its B; an "x" piece is the chooser-th vertex of that
+    pool.  The gate is ``cycles.lemma_gate`` on whole arrays.  Lemmas run one
+    at a time: two at once saved a few percent of the time and cost 0.6 MB
+    more peak memory.
     """
     count = orders.size
-    rows8 = np.zeros((count, 8), dtype=np.uint8)
-    rows8[:, : rows.shape[1]] = rows
-    into = scan.in_rows(rows8)
+    into = scan.in_rows(rows)
     full = ((1 << orders.astype(np.uint16)) - 1).astype(np.uint8)
     bases, paths = [], []
     hits = np.zeros((4, count), dtype=bool)
     for k, (base_key, q_key) in enumerate(_LEMMA_PIECES.values()):
         length, chooser = pairs[2 * k], pairs[2 * k + 1]
-        base = scan.first_paths(rows8, length, full, base_key == "cycle")
+        base = scan.first_paths(rows, length, full, base_key == "cycle")
         on_base = np.bitwise_or.reduce(scan.VERTEX_BIT[base], axis=1)
         pool = full & ~on_base
         found = base[:, 0] != scan.NO_VERTEX
@@ -1050,18 +1050,18 @@ def _lemma_setups(
             q[found, 0] = _NTH_BIT[pool[found], chooser[found]]
         else:
             size = chooser + np.uint8(1)
-            q = scan.first_paths(rows8, np.where(found, size, 0), pool, False)
+            q = scan.first_paths(rows, np.where(found, size, 0), pool, False)
         # the gate over the setups with a Q: d-(head Q, B) + d+(tail Q, B)
         # against |B| + 1 on a cycle, and against |B| + [last B -> head Q]
         # + [tail Q -> first B] on a path
         s = np.flatnonzero(q[:, 0] != scan.NO_VERTEX)
         head, tail = q[s, 0], q[s, size[s] - 1]
-        tail_out, mask = rows8[s, tail], on_base[s]
+        tail_out, mask = rows[s, tail], on_base[s]
         degree = scan.POP8[into[s, head] & mask] + scan.POP8[tail_out & mask]
         need = length[s] + np.uint8(1)
         if base_key == "path":
             last = base[s, length[s] - 1]
-            need = length[s] + (rows8[s, last] >> head & 1) + (tail_out >> base[s, 0] & 1)
+            need = length[s] + (rows[s, last] >> head & 1) + (tail_out >> base[s, 0] & 1)
         hits[k, s] = degree >= need
         bases.append(base)
         paths.append(q)

@@ -640,12 +640,12 @@ def seeds_for(seed: int, ordinals: np.ndarray) -> np.ndarray:
     return mix_vec(U(seed) + (ordinals.astype(np.uint64) + ONE) * GAMMA_U)
 
 
-def _draw_block(block: np.ndarray, state: np.ndarray, cut: np.uint64, all_arcs: bool) -> None:
+def _draw_block(block: np.ndarray, state: np.ndarray, top: np.uint64) -> None:
     """Fill ``block`` with one attempt per stream, row by row.
 
     ``state`` holds each stream's splitmix64 state and advances by γ per
     ordered pair (u, v) in row-major order, exactly as the scalar sampler's;
-    the arc is present when the hash of the new state falls below ``cut``.
+    the arc is present when the hash of the new state is at most ``top``.
     The scratch buffers are freed on return, before the block is screened.
     """
     n = block.shape[1]
@@ -659,11 +659,8 @@ def _draw_block(block: np.ndarray, state: np.ndarray, cut: np.uint64, all_arcs: 
             if v == u:
                 continue
             state += GAMMA_U
-            if all_arcs:
-                row |= _BIT[v]
-                continue
             mix_vec(state, draw, scratch)
-            np.less(draw, cut, out=arc)
+            np.less_equal(draw, top, out=arc)
             np.multiply(arc, _BIT[v], out=scratch)
             row |= scratch
         block[:, u] = row
@@ -684,14 +681,14 @@ def sample_strong_rows(n: int, arc_prob: float, seeds: np.ndarray) -> np.ndarray
         raise GraphError(
             f"arc probability {arc_prob} draws no arcs, so no strong digraph of order {n}"
         )
-    all_arcs = cutoff >= 1 << 64
-    cut = U(min(cutoff, (1 << 64) - 1))
+    # draw < cutoff as draw <= cutoff - 1, which fits 64 bits (cutoff 0: order 1, no draws)
+    top = U(max(cutoff - 1, 0))
     rows = np.empty((seeds.shape[0], n), dtype=np.uint64)
     block = rows
     pending = np.arange(seeds.shape[0])
     state = seeds.astype(np.uint64)
     for _ in range(GIVE_UP_AFTER):
-        _draw_block(block, state, cut, all_arcs)
+        _draw_block(block, state, top)
         good = strong_flags(n, block)
         if block is not rows:
             rows[pending[good]] = block[good]

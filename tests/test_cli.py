@@ -185,6 +185,11 @@ def test_verify_reports_a_sampler_give_up(capsys, monkeypatch, jobs):
     assert err.startswith("error: no strong digraph") and "Traceback" not in err
 
 
+def test_verify_refuses_samples_in_exhaustive_mode(capsys):
+    code, out, err = run_cli(capsys, "verify", "thm15", "--n", "4", "--samples", "7")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_verify_refuses_an_arc_probability_that_draws_no_arc(capsys, monkeypatch):
     monkeypatch.setattr(scan, "GIVE_UP_AFTER", 50)  # a run let through gives up soon
     argv = ("verify", "conj19", "--n", "5", "--mode", "sample", "--samples", "1",

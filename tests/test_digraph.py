@@ -26,7 +26,13 @@ from hamlab.digraph import (
     serialize,
     strong_rows,
 )
-from hamlab.generators import gen_directed_cycle, gen_kstar, gen_two_cliques
+from hamlab.generators import (
+    enum_bits,
+    gen_directed_cycle,
+    gen_kstar,
+    gen_two_cliques,
+    rows_from_index,
+)
 from oracles import oracle_is_kstar, oracle_strong
 
 
@@ -46,6 +52,23 @@ def test_mirror_rows_consistent():
     for u in range(4):
         for v in range(4):
             assert (d.out[u] >> v & 1) == (d.inn[v] >> u & 1)
+
+
+def test_in_rows_are_the_transpose_over_orders_1_to_4():
+    for n in range(1, 5):
+        for index in range(1 << enum_bits(n)):
+            d = from_rows(n, rows_from_index(n, index))
+            transpose = [sum((d.out[u] >> v & 1) << u for u in range(n)) for v in range(n)]
+            assert d.inn == tuple(transpose)
+
+
+@given(digraphs())
+def test_equality_and_hash_hold_whether_or_not_in_rows_were_read(d: Digraph):
+    fresh = from_rows(d.n, d.out)
+    d.inn
+    assert "inn" not in vars(fresh)
+    assert d == fresh and hash(d) == hash(fresh)
+    assert converse(converse(fresh)) == d
 
 
 def test_degrees_two_cliques_shared_vertex():

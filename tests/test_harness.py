@@ -30,6 +30,7 @@ from hamlab.digraph import (
     strong_rows,
 )
 from hamlab.generators import (
+    GiveUpError,
     derived_seed,
     enum_bits,
     gen_kstar,
@@ -71,6 +72,8 @@ def test_spec_rejects_bad_inputs():
         dict(claim="conj19", n=5, mode="sample", samples=1, arc_prob=1e-30),  # draws no arc
         dict(claim="lemma_suite", n=6, mode="sample", samples=10, arc_prob=0.3),
         dict(claim="thm15", n=4, samples=5),
+        dict(claim="thm15", n=4, seed=99),  # exhaustive specs read no seed
+        dict(claim="thm15", n=4, arc_prob=0.3),  # nor an arc probability
         dict(claim="thm15", n=7),  # 42 bits > enumeration cap
         dict(claim="bypass_claim", n=9),
         dict(claim="bypass_claim", n=9, mode="sample", samples=10),
@@ -86,7 +89,7 @@ def test_spec_fingerprint_ignores_checkpoint_path():
     a = CampaignSpec(claim="thm15", n=4)
     b = CampaignSpec(claim="thm15", n=4, checkpoint_path="/tmp/x.json")
     assert a.fingerprint() == b.fingerprint()
-    c = CampaignSpec(claim="thm15", n=4, seed=1)
+    c = CampaignSpec(claim="thm15", n=4, shards=2)
     assert a.fingerprint() != c.fingerprint()
 
 
@@ -558,9 +561,15 @@ def test_lemma_inputs_match_scalar_stream(seed):
         for j in range(ordinals.size):
             n, want_rows, want_pairs = oracle_lemma_inputs(seed, top, j)
             assert orders[j] == n
-            assert rows[j].tolist() == want_rows + [0] * (top - n)
+            assert rows[j].tolist() == want_rows + [0] * (8 - n)
             assert strong[j] == strong_rows(n, want_rows)
             assert pairs[:, j].tolist() == want_pairs
+
+
+def test_witness_reads_a_row_up_to_its_first_pad():
+    assert harness._witness([3, 1, 4, 0, 5, 2, 7, 6]) == (3, 1, 4, 0, 5, 2, 7, 6)
+    assert harness._witness([2, 0, 5, 255, 255, 255, 255, 255]) == (2, 0, 5)
+    assert harness._witness([255] * 8) is None
 
 
 def test_flipped_lemma_strong_flag_is_caught(monkeypatch):
@@ -744,11 +753,22 @@ def test_checkpoint_rejects_other_spec(tmp_path):
     cp = str(tmp_path / "cp.json")
     spec = CampaignSpec(claim="thm15", n=4, checkpoint_path=cp)
     run_campaign(spec, stop_after=100)
-    other = CampaignSpec(claim="thm15", n=4, seed=1, checkpoint_path=cp)
+    other = CampaignSpec(claim="thm15", n=4, shards=2, checkpoint_path=cp)
     with pytest.raises(CheckpointError):
         checkpoint_load(cp, other)
     with pytest.raises(CheckpointError):
         run_campaign(other)
+
+
+def test_run_that_fails_before_its_first_save_leaves_no_temporary_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(scan, "GIVE_UP_AFTER", 20)
+    cp = tmp_path / "cp.json"
+    spec = CampaignSpec(
+        claim="conj19", n=5, mode="sample", samples=4, arc_prob=0.01, checkpoint_path=str(cp)
+    )
+    with pytest.raises(GiveUpError):
+        run_campaign(spec)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_rejects_corrupt_file(tmp_path):
